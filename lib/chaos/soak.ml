@@ -195,6 +195,8 @@ type failure = {
   fail_violations : string list;
 }
 
+type case_digest = { cd_case : string; cd_seed : int; cd_digest : string }
+
 type summary = {
   s_base_seed : int;
   s_iters : int;
@@ -211,6 +213,7 @@ type summary = {
   s_recovery_p50_us : float;
   s_recovery_p99_us : float;
   s_recovery_max_us : float;
+  s_digests : case_digest list;
 }
 
 let ok s = s.s_violation_runs = 0 && s.s_lost = 0 && s.s_duplicates = 0
@@ -233,6 +236,7 @@ let run ?cases ?(seed = 42) ?(iters = 1) ?(progress = fun _ -> ()) () =
   let violation_runs = ref 0 in
   let first_failure = ref None in
   let recoveries = ref [] in
+  let digests = ref [] in
   for i = 0 to iters - 1 do
     List.iter
       (fun c ->
@@ -244,6 +248,9 @@ let run ?cases ?(seed = 42) ?(iters = 1) ?(progress = fun _ -> ()) () =
         in
         let v, _log = Harness.run config in
         incr runs;
+        digests :=
+          { cd_case = c.c_name; cd_seed = run_seed; cd_digest = v.Harness.v_log_digest }
+          :: !digests;
         injected := !injected + v.Harness.v_total_injected;
         sent := !sent + v.Harness.v_sent;
         delivered := !delivered + v.Harness.v_delivered;
@@ -300,6 +307,7 @@ let run ?cases ?(seed = 42) ?(iters = 1) ?(progress = fun _ -> ()) () =
     s_recovery_p50_us = percentile sorted 50.0;
     s_recovery_p99_us = percentile sorted 99.0;
     s_recovery_max_us = percentile sorted 100.0;
+    s_digests = List.rev !digests;
   }
 
 let pp fmt s =
@@ -335,7 +343,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let to_json s =
+let to_json ?(digests = false) s =
   let b = Buffer.create 512 in
   let field ?(last = false) name value =
     Buffer.add_string b (Printf.sprintf "    %S: %s%s\n" name value (if last then "" else ","))
@@ -359,11 +367,22 @@ let to_json s =
   field "recovery_p99_us" (Printf.sprintf "%.1f" s.s_recovery_p99_us);
   field "recovery_max_us" (Printf.sprintf "%.1f" s.s_recovery_max_us);
   (match s.s_first_failure with
-  | None -> field ~last:true "first_failure" "null"
+  | None -> field ~last:(not digests) "first_failure" "null"
   | Some f ->
-      field ~last:true "first_failure"
+      field ~last:(not digests) "first_failure"
         (Printf.sprintf
            "{\"seed\": %d, \"case\": \"%s\", \"violations\": %s}" f.fail_seed
            (json_escape f.fail_case) (strings f.fail_violations)));
+  if digests then
+    field ~last:true "cases"
+      ("[\n"
+      ^ String.concat ",\n"
+          (List.map
+             (fun d ->
+               Printf.sprintf
+                 "      {\"case\": \"%s\", \"seed\": %d, \"digest\": \"%s\"}"
+                 (json_escape d.cd_case) d.cd_seed d.cd_digest)
+             s.s_digests)
+      ^ "\n    ]");
   Buffer.add_string b "  }";
   Buffer.contents b

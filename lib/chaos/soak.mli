@@ -68,6 +68,12 @@ type failure = {
   fail_violations : string list;
 }
 
+type case_digest = {
+  cd_case : string;  (** {!case.c_name} *)
+  cd_seed : int;
+  cd_digest : string;  (** the run's [v_log_digest] *)
+}
+
 type summary = {
   s_base_seed : int;
   s_iters : int;
@@ -84,6 +90,9 @@ type summary = {
   s_recovery_p50_us : float;
   s_recovery_p99_us : float;
   s_recovery_max_us : float;
+  s_digests : case_digest list;
+      (** every run's event-log digest, in run order: two builds behave
+          identically on the matrix exactly when these lists are equal *)
 }
 
 val ok : summary -> bool
@@ -101,5 +110,8 @@ val run :
 
 val pp : Format.formatter -> summary -> unit
 
-val to_json : summary -> string
-(** The [chaos] summary object embedded in BENCH_results.json. *)
+val to_json : ?digests:bool -> summary -> string
+(** The [chaos] summary object embedded in BENCH_results.json.  With
+    [~digests:true] (the [xenloopsim chaos --json] form) it also carries
+    a ["cases"] array of [{case, seed, digest}] objects, one per run, so
+    a refactor proves behavioural identity with one diff of two outputs. *)

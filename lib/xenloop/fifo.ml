@@ -99,9 +99,11 @@ type t = {
   desc : Page.t;
   data : Page.t array;
   fifo_slots : int;
-  (* Scratch descriptor for [pop_into]: the consumer's per-packet path
-     reads the fields through the accessors below instead of allocating an
-     [entry] per pop. *)
+  (* Scratch entry filled by [decode]: the consumer's per-packet path
+     ([pop_into]) reads the fields through the accessors below instead of
+     allocating an [entry] per pop.  [e_at] is the entry's byte offset in
+     the ring. *)
+  mutable e_at : int;
   mutable e_slot : int;
   mutable e_off : int;
   mutable e_len : int;
@@ -123,6 +125,7 @@ let attach ~desc ~data =
     desc;
     data;
     fifo_slots = 1 lsl k;
+    e_at = 0;
     e_slot = 0;
     e_off = 0;
     e_len = 0;
@@ -418,49 +421,47 @@ let popped_empty = -1
 let popped_desc = -2
 let popped_jumbo = -3
 
-(* Shared by both consumer entry points: park the jumbo header + chunk
-   vector in the scratch fields and advance [front].  The chunk count is
-   the only structurally-load-bearing field — out of range means the ring
-   framing itself is gone (the next entry cannot be located), so it raises
-   like any other corrupt metadata.  Chunk slots/lengths are validated by
-   the caller against its pool, where a bad vector is a droppable frame,
-   not a dead channel. *)
-let pop_jumbo_into_scratch t ~f ~byte_at ~len ~flags =
-  let size = ring_bytes t in
-  let word_at i =
-    let a = (byte_at + (slot_bytes * i)) mod size in
-    (t.data.(a / Page.size), a mod Page.size)
-  in
-  let hpage, hoff = word_at 1 in
-  let nchunks = Page.get_u16 hpage hoff in
-  if nchunks < 1 || nchunks > max_jumbo_chunks then
-    invalid_arg "Fifo.pop: corrupt jumbo entry metadata";
-  t.e_proto <- Page.get_u16 hpage (hoff + 2);
-  t.e_len <- len;
-  t.e_flags <- flags;
-  t.e_nchunks <- nchunks;
-  for i = 0 to nchunks - 1 do
-    let cpage, coff = word_at (2 + i) in
-    t.e_chunk_slots.(i) <- Page.get_u16 cpage coff;
-    t.e_chunk_lens.(i) <- Page.get_u32 cpage (coff + 4)
-  done;
-  Page.set_u32 t.desc off_front (f + jumbo_ring_slots nchunks)
-
-let pop_into t dst =
+(* The one entry-header decoder behind both consumer entry points: check
+   the metadata word at [front], park a descriptor's or a jumbo's fields
+   in the scratch, and return [popped_empty], [popped_desc],
+   [popped_jumbo] or an inline entry's payload length.  [front] does not
+   move; {!consume} does that once the caller has read the entry.  The
+   jumbo chunk count is the only structurally-load-bearing field — out of
+   range means the ring framing itself is gone (the next entry cannot be
+   located), so it raises like any other corrupt metadata.  Chunk
+   slots/lengths are validated by the caller against its pool, where a
+   bad vector is a droppable frame, not a dead channel. *)
+let decode t =
   if is_empty t then popped_empty
   else begin
-    let f = front t in
-    let slot_index = f land (t.fifo_slots - 1) in
-    let byte_at = slot_index * slot_bytes in
+    let byte_at = (front t land (t.fifo_slots - 1)) * slot_bytes in
     let mpage = t.data.(byte_at / Page.size) in
     let moff = byte_at mod Page.size in
     let len = Page.get_u32 mpage moff in
     let magic = Page.get_u16 mpage (moff + 4) in
     let flags = Page.get_u16 mpage (moff + 6) in
+    t.e_at <- byte_at;
+    t.e_len <- len;
+    t.e_flags <- flags;
     if magic <> entry_magic || len <= 0 then
       invalid_arg "Fifo.pop: corrupt entry metadata"
     else if flags land flag_jumbo <> 0 then begin
-      pop_jumbo_into_scratch t ~f ~byte_at ~len ~flags;
+      let size = ring_bytes t in
+      let word_at i =
+        let a = (byte_at + (slot_bytes * i)) mod size in
+        (t.data.(a / Page.size), a mod Page.size)
+      in
+      let hpage, hoff = word_at 1 in
+      let nchunks = Page.get_u16 hpage hoff in
+      if nchunks < 1 || nchunks > max_jumbo_chunks then
+        invalid_arg "Fifo.pop: corrupt jumbo entry metadata";
+      t.e_proto <- Page.get_u16 hpage (hoff + 2);
+      t.e_nchunks <- nchunks;
+      for i = 0 to nchunks - 1 do
+        let cpage, coff = word_at (2 + i) in
+        t.e_chunk_slots.(i) <- Page.get_u16 cpage coff;
+        t.e_chunk_lens.(i) <- Page.get_u32 cpage (coff + 4)
+      done;
       popped_jumbo
     end
     else if flags land flag_desc <> 0 then begin
@@ -470,22 +471,34 @@ let pop_into t dst =
       t.e_slot <- Page.get_u16 ppage poff;
       t.e_proto <- Page.get_u16 ppage (poff + 2);
       t.e_off <- Page.get_u32 ppage (poff + 4);
-      t.e_len <- len;
-      t.e_flags <- flags;
-      Page.set_u32 t.desc off_front (f + 2);
       popped_desc
     end
     else if len > max_packet t then invalid_arg "Fifo.pop: corrupt entry metadata"
-    else if Bytes.length dst < len then
-      invalid_arg "Fifo.pop_into: destination buffer too small"
-    else begin
-      read_ring t
-        ~at:((byte_at + slot_bytes) mod ring_bytes t)
-        ~dst ~dst_off:0 ~len;
-      Page.set_u32 t.desc off_front (f + slots_for_payload len);
-      len
-    end
+    else len
   end
+
+(* Read an inline entry's payload (of [len] bytes) that {!decode} found. *)
+let read_inline t ~dst ~len =
+  read_ring t ~at:((t.e_at + slot_bytes) mod ring_bytes t) ~dst ~dst_off:0 ~len
+
+(* Release the ring slots of the entry {!decode} returned [code] for. *)
+let consume t code =
+  let used =
+    if code = popped_jumbo then jumbo_ring_slots t.e_nchunks
+    else if code = popped_desc then 2
+    else slots_for_payload code
+  in
+  Page.set_u32 t.desc off_front (front t + used)
+
+let pop_into t dst =
+  let code = decode t in
+  if code >= 0 then begin
+    if Bytes.length dst < code then
+      invalid_arg "Fifo.pop_into: destination buffer too small";
+    read_inline t ~dst ~len:code
+  end;
+  if code <> popped_empty then consume t code;
+  code
 
 let desc_slot t = t.e_slot
 let desc_off t = t.e_off
@@ -497,45 +510,36 @@ let desc_chunk_slot t i = t.e_chunk_slots.(i)
 let desc_chunk_len t i = t.e_chunk_lens.(i)
 
 let pop_entry t =
-  if is_empty t then None
+  let code = decode t in
+  if code = popped_empty then None
   else begin
-    let f = front t in
-    let slot_index = f land (t.fifo_slots - 1) in
-    let byte_at = slot_index * slot_bytes in
-    let mpage = t.data.(byte_at / Page.size) in
-    let moff = byte_at mod Page.size in
-    let len = Page.get_u32 mpage moff in
-    let magic = Page.get_u16 mpage (moff + 4) in
-    let flags = Page.get_u16 mpage (moff + 6) in
-    if magic <> entry_magic || len <= 0 then
-      invalid_arg "Fifo.pop: corrupt entry metadata"
-    else if flags land flag_jumbo <> 0 then begin
-      pop_jumbo_into_scratch t ~f ~byte_at ~len ~flags;
-      let j_chunks =
-        Array.init t.e_nchunks (fun i ->
-            (t.e_chunk_slots.(i), t.e_chunk_lens.(i)))
-      in
-      Some (Jumbo { j_len = len; j_proto = t.e_proto; j_flags = flags; j_chunks })
-    end
-    else if flags land flag_desc <> 0 then begin
-      let at2 = (byte_at + slot_bytes) mod ring_bytes t in
-      let ppage = t.data.(at2 / Page.size) in
-      let poff = at2 mod Page.size in
-      let d_slot = Page.get_u16 ppage poff in
-      let d_proto = Page.get_u16 ppage (poff + 2) in
-      let d_off = Page.get_u32 ppage (poff + 4) in
-      Page.set_u32 t.desc off_front (f + 2);
-      Some (Desc { d_slot; d_off; d_len = len; d_proto; d_flags = flags })
-    end
-    else if len > max_packet t then invalid_arg "Fifo.pop: corrupt entry metadata"
-    else begin
-      let payload = Bytes.create len in
-      read_ring t
-        ~at:((byte_at + slot_bytes) mod ring_bytes t)
-        ~dst:payload ~dst_off:0 ~len;
-      Page.set_u32 t.desc off_front (f + slots_for_payload len);
-      Some (Inline payload)
-    end
+    let entry =
+      if code = popped_jumbo then
+        Jumbo
+          {
+            j_len = t.e_len;
+            j_proto = t.e_proto;
+            j_flags = t.e_flags;
+            j_chunks =
+              Array.init t.e_nchunks (fun i -> (t.e_chunk_slots.(i), t.e_chunk_lens.(i)));
+          }
+      else if code = popped_desc then
+        Desc
+          {
+            d_slot = t.e_slot;
+            d_off = t.e_off;
+            d_len = t.e_len;
+            d_proto = t.e_proto;
+            d_flags = t.e_flags;
+          }
+      else begin
+        let payload = Bytes.create code in
+        read_inline t ~dst:payload ~len:code;
+        Inline payload
+      end
+    in
+    consume t code;
+    Some entry
   end
 
 let pop t =

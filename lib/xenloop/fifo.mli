@@ -288,13 +288,13 @@ val desc_len : t -> int
 val desc_proto : t -> int
 val desc_flags : t -> int
 (** Fields of the most recent {!popped_desc} entry from {!pop_into};
-    overwritten by the next descriptor pop on this view. *)
+    overwritten by the next pop on this view. *)
 
 val desc_nchunks : t -> int
 val desc_chunk_slot : t -> int -> int
 val desc_chunk_len : t -> int -> int
 (** Chunk vector of the most recent {!popped_jumbo} entry from
-    {!pop_into}; overwritten by the next jumbo pop on this view. *)
+    {!pop_into}; overwritten by the next pop on this view. *)
 
 val is_active : t -> bool
 val mark_inactive : t -> unit

@@ -257,13 +257,8 @@ let tx_backlog_empty q =
   | None -> Queue.is_empty q.waiting
 
 let tx_backlog_head_len q =
-  match q.q_sched with
-  | Some sched -> (
-      match Qos.Drr.head_len sched with
-      | Some _ as l -> l
-      | None ->
-          if Queue.is_empty q.waiting then None
-          else Some (Bytes.length (Queue.peek q.waiting)))
+  match Option.bind q.q_sched Qos.Drr.head_len with
+  | Some _ as l -> l
   | None ->
       if Queue.is_empty q.waiting then None
       else Some (Bytes.length (Queue.peek q.waiting))
@@ -314,23 +309,16 @@ let queue_stats t ~domid =
         ch.queues
   | Some (Bootstrapping _ | Failed_until _) | None -> [||]
 
-let zerocopy_active t ~domid =
+(* Whether the connected channel to [domid] negotiated a feature on at
+   least one of its queues. *)
+let negotiated t ~domid on_queue =
   match Hashtbl.find_opt t.peers domid with
-  | Some (Active ch) ->
-      ch.connected && Array.exists (fun q -> q.q_tx_pool <> None) ch.queues
+  | Some (Active ch) -> ch.connected && Array.exists on_queue ch.queues
   | Some (Bootstrapping _ | Failed_until _) | None -> false
 
-let loans_active t ~domid =
-  match Hashtbl.find_opt t.peers domid with
-  | Some (Active ch) ->
-      ch.connected && Array.exists (fun q -> q.q_max_loans > 0) ch.queues
-  | Some (Bootstrapping _ | Failed_until _) | None -> false
-
-let gso_active t ~domid =
-  match Hashtbl.find_opt t.peers domid with
-  | Some (Active ch) ->
-      ch.connected && Array.exists (fun q -> q.q_gso_max > 0) ch.queues
-  | Some (Bootstrapping _ | Failed_until _) | None -> false
+let zerocopy_active t ~domid = negotiated t ~domid (fun q -> q.q_tx_pool <> None)
+let loans_active t ~domid = negotiated t ~domid (fun q -> q.q_max_loans > 0)
+let gso_active t ~domid = negotiated t ~domid (fun q -> q.q_gso_max > 0)
 
 let outstanding_loans t =
   (* A killed module's views are conceptually dead with the guest; the
@@ -469,22 +457,24 @@ let record_copy t len =
 let push_refused t =
   match t.push_fault with None -> false | Some f -> f ()
 
+(* One descriptor (plain, app or jumbo) entered the FIFO.  Every
+   descriptor on a loan-negotiated channel is loan-eligible at the
+   receiver (which may still degrade it to copy-out under credit pressure
+   — that shows up in its loan_credit_stalls, not here). *)
+let count_desc_tx t q =
+  q.q_desc_tx <- q.q_desc_tx + 1;
+  t.s.desc_tx <- t.s.desc_tx + 1;
+  if q.q_max_loans > 0 then begin
+    q.q_loan_tx <- q.q_loan_tx + 1;
+    t.s.loan_tx <- t.s.loan_tx + 1
+  end
+
 (* [outcome] is a {!Fifo.push_entry} result code; plain ints keep the
    per-packet TX path allocation-free. *)
 let note_outcome t q outcome =
   if outcome = Fifo.push_failed then false
   else begin
-    if outcome = Fifo.pushed_desc then begin
-      q.q_desc_tx <- q.q_desc_tx + 1;
-      t.s.desc_tx <- t.s.desc_tx + 1;
-      (* Every descriptor on a loan-negotiated channel is loan-eligible at
-         the receiver (which may still degrade it to copy-out under credit
-         pressure — that shows up in its loan_credit_stalls, not here). *)
-      if q.q_max_loans > 0 then begin
-        q.q_loan_tx <- q.q_loan_tx + 1;
-        t.s.loan_tx <- t.s.loan_tx + 1
-      end
-    end
+    if outcome = Fifo.pushed_desc then count_desc_tx t q
     else begin
       q.q_inline_tx <- q.q_inline_tx + 1;
       t.s.inline_tx <- t.s.inline_tx + 1
@@ -496,12 +486,6 @@ let note_outcome t q outcome =
     true
   end
 
-(* Write a serialized frame into the outgoing channel, charging the
-   sender half of the data path (paper Sect. 3.3, "Data transfer").  The
-   sender always pays exactly one copy — into the FIFO on the inline
-   path, into its payload-pool slot on the descriptor path — so the
-   sender-side cost is identical either way; zero-copy wins on the
-   receiver, which consumes pool payloads in place. *)
 (* Whether this frame is about to take the descriptor path on a
    loan-negotiated channel.  On such channels the pool slot is the frame's
    only resting place — the frame is built in the slot and the receiver's
@@ -622,14 +606,9 @@ let push_jumbo ?(amortized = false) t q raw =
               ~chunk_lens ~nchunks ~total_len:len ~proto_hint:(proto_hint_of raw)
               ()
           then begin
-            q.q_desc_tx <- q.q_desc_tx + 1;
-            t.s.desc_tx <- t.s.desc_tx + 1;
+            count_desc_tx t q;
             t.s.jumbo_tx <- t.s.jumbo_tx + 1;
             t.s.jumbo_chunks_tx <- t.s.jumbo_chunks_tx + nchunks;
-            if q.q_max_loans > 0 then begin
-              q.q_loan_tx <- q.q_loan_tx + 1;
-              t.s.loan_tx <- t.s.loan_tx + 1
-            end;
             true
           end
           else begin
@@ -639,13 +618,24 @@ let push_jumbo ?(amortized = false) t q raw =
         end
       end
 
-let push_frame_legacy t q raw =
+(* Write one frame as a single FIFO entry — inline, or a pool
+   descriptor above the inline threshold — charging the sender half of
+   the data path (paper Sect. 3.3, "Data transfer").  The sender pays
+   exactly one copy either way, into the FIFO or into its pool slot;
+   zero-copy wins on the receiver, which consumes pool payloads in place
+   (and on loan channels, where the slot is the frame's only resting
+   place).  [amortized]: the caller already paid [xenloop_fifo_op] for
+   the whole burst, so only the copy is charged. *)
+let push_plain ~amortized t q raw =
   let p = params t in
   let len = Bytes.length raw in
-  Sim.Resource.use (cpu t)
-    (if tx_loan_desc q len then p.Params.xenloop_fifo_op
-     else
-       Sim.Time.span_add p.Params.xenloop_fifo_op (Params.xenloop_copy_cost p len));
+  let loan_desc = tx_loan_desc q len in
+  if not amortized then
+    Sim.Resource.use (cpu t)
+      (if loan_desc then p.Params.xenloop_fifo_op
+       else Sim.Time.span_add p.Params.xenloop_fifo_op (Params.xenloop_copy_cost p len))
+  else if not loan_desc then
+    Sim.Resource.use (cpu t) (Params.xenloop_copy_cost p len);
   let outcome =
     Fifo.push_entry q.out_fifo ~pool:q.q_tx_pool ~inline_max:q.q_inline_max
       ~proto_hint:(proto_hint_of raw) raw
@@ -655,49 +645,53 @@ let push_frame_legacy t q raw =
     record_copy t len;
   ok
 
-(* Jumbo push with the legacy chunked-inline copy as its degraded path:
-   when the pool refuses the scatter vector (slot exhaustion, a chaos
-   alloc fault) or the descriptor ring refuses the jumbo, the frame
-   falls back to the multi-slot inline copy the pre-gso path would have
-   used — after restoring the transport checksum the jumbo serializer
-   elided, since an inline entry carries no [flag_csum_ok] vouching and
-   the receiver will verify it (the checksum-elision equivalence
-   property).  A gso sender therefore degrades instead of parking
-   frames behind an empty ring, where no peer notification would ever
-   come to flush them. *)
-let push_jumbo_or_inline ?(amortized = false) t q raw =
-  push_jumbo ~amortized t q raw
-  ||
-  match Netcore.Codec.parse ~verify_transport:false raw with
-  | Ok packet -> push_frame_legacy t q (Netcore.Codec.serialize packet)
-  | Error _ -> false
-
-let push_frame t q raw =
-  if push_refused t then false
-  else if jumbo_eligible q (Bytes.length raw) then push_jumbo_or_inline t q raw
-  else push_frame_legacy t q raw
+(* The one transmit primitive behind every sender: a single send, each
+   frame of a burst, and the waiting-list and DRR drains.  A chaos-refused
+   push fails before anything is charged, exactly like a full ring.  A
+   gso-eligible frame goes as one jumbo descriptor; when the pool or the
+   ring refuses the scatter vector it degrades to the chunked inline copy
+   the pre-gso path would have used — after restoring the transport
+   checksum the jumbo serializer elided, since an inline entry carries no
+   [flag_csum_ok] vouching and the receiver will verify it (the
+   checksum-elision equivalence property).  A gso sender therefore
+   degrades instead of parking frames behind an empty ring, where no peer
+   notification would ever come to flush them.  A frame that entered the
+   FIFO counts in [via_channel_tx]. *)
+let push_one ?(amortized = false) t q raw =
+  let pushed =
+    (not (push_refused t))
+    &&
+    if jumbo_eligible q (Bytes.length raw) then
+      push_jumbo ~amortized t q raw
+      ||
+      match Netcore.Codec.parse ~verify_transport:false raw with
+      | Ok packet -> push_plain ~amortized:false t q (Netcore.Codec.serialize packet)
+      | Error _ -> false
+    else push_plain ~amortized t q raw
+  in
+  if pushed then t.s.via_channel_tx <- t.s.via_channel_tx + 1;
+  pushed
 
 (* Whether a frame of this size would enter the queue right now —
    {!Fifo.can_accept} generalized over this queue's descriptor path,
-   and over the jumbo path for gso-eligible lengths. *)
+   and over the jumbo path for gso-eligible lengths.  A jumbo the pool
+   cannot scatter still enters if [push_one]'s degraded path, the
+   chunked inline copy, fits. *)
 let queue_can_accept q len =
-  if jumbo_eligible q len then
-    (match q.q_tx_pool with
-    | Some pool ->
-        let nchunks = jumbo_nchunks pool len in
-        Fifo.can_accept_jumbo q.out_fifo ~nchunks
-        && Payload_pool.free_slots pool >= nchunks
-    | None -> false)
-    (* [push_jumbo_or_inline]'s degraded path: a jumbo the pool cannot
-       scatter still enters if the chunked inline copy fits. *)
-    || Fifo.can_accept_entry q.out_fifo ?pool:q.q_tx_pool
-         ~inline_max:q.q_inline_max len
-  else
-    Fifo.can_accept_entry q.out_fifo ?pool:q.q_tx_pool ~inline_max:q.q_inline_max
-      len
+  (jumbo_eligible q len
+  &&
+  match q.q_tx_pool with
+  | Some pool ->
+      let nchunks = jumbo_nchunks pool len in
+      Fifo.can_accept_jumbo q.out_fifo ~nchunks
+      && Payload_pool.free_slots pool >= nchunks
+  | None -> false)
+  || Fifo.can_accept_entry q.out_fifo ?pool:q.q_tx_pool ~inline_max:q.q_inline_max
+       len
 
-(* Bypass the channel entirely: the frame leaves through the standard
-   netfront path (overflow reroute, tenant Divert, teardown flush).
+(* The trusted-channel exit: the one way a frame bypasses the channel
+   and leaves through the standard netfront path — overflow reroute,
+   tenant Divert, retirement flush, and the resend after migration.
    These are always frames this guest serialized itself, and a
    gso-bound frame may carry an elided (zeroed) transport checksum —
    parse without verifying it; the device codec recomputes a correct
@@ -866,9 +860,8 @@ let qos_drain t qs q sched =
                 | [] -> continue_draining := false
                 | (raw, len) :: rest ->
                     Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
-                    if push_jumbo_or_inline ~amortized:true t q raw then begin
+                    if push_one ~amortized:true t q raw then begin
                       pushed_total := !pushed_total + 1;
-                      t.s.via_channel_tx <- t.s.via_channel_tx + 1;
                       flow.Qos.Flow_table.f_descs <-
                         flow.Qos.Flow_table.f_descs + 1;
                       (match qos_policy_for qs flow with
@@ -957,10 +950,8 @@ let drain_waiting_legacy t q =
     let continue_draining = ref true in
     while !continue_draining && not (Queue.is_empty q.waiting) do
       let raw = Queue.peek q.waiting in
-      if queue_can_accept q (Bytes.length raw) && push_frame t q raw
-      then begin
+      if queue_can_accept q (Bytes.length raw) && push_one t q raw then begin
         ignore (Queue.pop q.waiting);
-        t.s.via_channel_tx <- t.s.via_channel_tx + 1;
         incr pushed
       end
       else continue_draining := false
@@ -1001,14 +992,8 @@ let send_via_channel t q raw =
      what makes the FIFO size matter (Fig. 5): a small FIFO forces an
      event-channel round trip per FIFO-full of packets. *)
   if not (Queue.is_empty q.waiting) then ignore (drain_waiting t q);
-  let sent_now =
-    if Queue.is_empty q.waiting && push_frame t q raw then true
-    else begin
-      enqueue_waiting t q raw;
-      false
-    end
-  in
-  if sent_now then t.s.via_channel_tx <- t.s.via_channel_tx + 1;
+  if not (Queue.is_empty q.waiting && push_one t q raw) then
+    enqueue_waiting t q raw;
   (* Signal the receiver; also when we only queued, so the peer's next
      consumption round notifies us back to drain the waiting list. *)
   notify_peer t q
@@ -1039,61 +1024,277 @@ let send_batch t q raws =
         let overflowed = ref false in
         List.iter
           (fun raw ->
-            if !overflowed then enqueue_waiting t q raw
-            else begin
-              let len = Bytes.length raw in
-              if jumbo_eligible q len then begin
-                if
-                  (not (push_refused t))
-                  && push_jumbo_or_inline ~amortized:true t q raw
-                then t.s.via_channel_tx <- t.s.via_channel_tx + 1
-                else begin
-                  overflowed := true;
-                  enqueue_waiting t q raw
-                end
-              end
-              else begin
-                if not (tx_loan_desc q len) then
-                  Sim.Resource.use (cpu t) (Params.xenloop_copy_cost p len);
-                let outcome =
-                  if push_refused t then Fifo.push_failed
-                  else
-                    Fifo.push_entry q.out_fifo ~pool:q.q_tx_pool
-                      ~inline_max:q.q_inline_max ~proto_hint:(proto_hint_of raw)
-                      raw
-                in
-                if note_outcome t q outcome then begin
-                  if not (outcome = Fifo.pushed_desc && q.q_max_loans > 0) then
-                    record_copy t len;
-                  t.s.via_channel_tx <- t.s.via_channel_tx + 1
-                end
-                else begin
-                  overflowed := true;
-                  enqueue_waiting t q raw
-                end
-              end
+            if !overflowed || not (push_one ~amortized:true t q raw) then begin
+              overflowed := true;
+              enqueue_waiting t q raw
             end)
           raws
       end;
       notify_peer t q
 
 (* ------------------------------------------------------------------ *)
-(* Teardown *)
+(* Receive *)
 
-(* Hand a scheduler's frames back to the legacy waiting list (service
-   order, each flow FIFO) so the teardown paths below need only one
-   backlog representation. *)
-let spill_sched_to_waiting q =
-  match q.q_sched with
-  | None -> ()
-  | Some sched ->
-      List.iter
-        (fun (_, raw, _) -> Queue.push raw q.waiting)
-        (Qos.Drr.drain_all sched)
+exception Corrupt_channel
+
+(* A pool-backed FIFO entry is read as a chunk vector (DESIGN.md §15): a
+   descriptor is one chunk, starting at [d_off] in its slot; a jumbo is
+   its scatter vector, every chunk starting at offset 0 of its slot.
+   Receive, the loan release and the teardown read-back all see entries
+   through these accessors, so no path forks on the entry kind. *)
+let chunk_count = function
+  | Fifo.Jumbo { j_chunks; _ } -> Array.length j_chunks
+  | Fifo.Desc _ -> 1
+  | Fifo.Inline _ -> 0
+
+let chunk_slot e i =
+  match e with
+  | Fifo.Jumbo { j_chunks; _ } -> fst j_chunks.(i)
+  | Fifo.Desc { d_slot; _ } -> d_slot
+  | Fifo.Inline _ -> invalid_arg "chunk_slot: inline entry"
+
+let chunk_off = function Fifo.Desc { d_off; _ } -> d_off | Fifo.Jumbo _ | Fifo.Inline _ -> 0
+
+let chunk_len e i =
+  match e with
+  | Fifo.Jumbo { j_chunks; _ } -> snd j_chunks.(i)
+  | Fifo.Desc { d_len; _ } -> d_len
+  | Fifo.Inline raw -> Bytes.length raw
+
+let entry_len e =
+  match e with Fifo.Jumbo { j_len; _ } -> j_len | Fifo.Desc _ | Fifo.Inline _ -> chunk_len e 0
+
+(* Framing the receiver cannot trust poisons the channel: a chunk slot
+   out of range or named twice, or a descriptor whose extent leaves its
+   slot.  A jumbo whose length vector does not add up to its frame (chaos
+   [Jumbo_truncate]) is one undeliverable frame, reported as [false]:
+   never deliver bytes the vector does not account for. *)
+let chunks_valid pool e =
+  let sb = Payload_pool.slot_bytes pool in
+  let off = chunk_off e in
+  let lens_ok = ref (off >= 0 && entry_len e > 0) and sum = ref 0 in
+  for i = 0 to chunk_count e - 1 do
+    let s = chunk_slot e i and l = chunk_len e i in
+    if s < 0 || s >= Payload_pool.slots pool then raise Corrupt_channel;
+    for k = 0 to i - 1 do
+      if chunk_slot e k = s then raise Corrupt_channel
+    done;
+    if l <= 0 || off + l > sb then lens_ok := false;
+    sum := !sum + l
+  done;
+  let ok = !lens_ok && !sum = entry_len e in
+  match e with
+  | Fifo.Desc _ when not ok -> raise Corrupt_channel
+  | Fifo.Desc _ | Fifo.Jumbo _ | Fifo.Inline _ -> ok
+
+(* Copy a (validated) entry's payload out of [pool] as one frame. *)
+let gather pool e =
+  let raw = Bytes.create (entry_len e) in
+  let at = ref 0 in
+  for i = 0 to chunk_count e - 1 do
+    let len = chunk_len e i in
+    Payload_pool.read_into pool ~slot:(chunk_slot e i) ~off:(chunk_off e) ~len
+      ~dst:raw ~dst_off:!at;
+    at := !at + len
+  done;
+  raw
+
+let free_chunks pool e =
+  for i = 0 to chunk_count e - 1 do
+    Payload_pool.free pool (chunk_slot e i)
+  done
+
+(* The one loan-or-copy decision (DESIGN.md §11): borrow an entry when
+   the loan credit still covers every one of its chunk slots.  A
+   descriptor is one chunk, so for it this is [outstanding < max]. *)
+let can_loan q pool e =
+  q.q_max_loans > 0
+  && Payload_pool.outstanding_loans pool + chunk_count e <= q.q_max_loans
+
+let loan_chunks t q pool e =
+  for i = 0 to chunk_count e - 1 do
+    Payload_pool.loan pool (chunk_slot e i)
+  done;
+  q.q_loan_rx <- q.q_loan_rx + 1;
+  t.s.loan_rx <- t.s.loan_rx + 1
+
+(* Copy-out: on a pre-loan channel this is the plain pooled receive,
+   modelled as consuming the slot in place (no copy charged or recorded);
+   on a loan channel it is the transparent credit-exhaustion fallback,
+   whose one real copy is recorded. *)
+let note_copy_out t q len =
+  if q.q_max_loans > 0 then begin
+    q.q_loan_credit_stalls <- q.q_loan_credit_stalls + 1;
+    t.s.loan_credit_stalls <- t.s.loan_credit_stalls + 1;
+    record_copy t len
+  end
+
+(* The release closure handed out with a borrowed view of [e]'s chunk
+   slots.  The receiver's socket layer (or the application, through
+   recvfrom_view) calls it exactly once when done with the view; [copied]
+   reports whether the borrow degenerated into a copy somewhere in the
+   stack (out-of-order TCP hold, fragment reassembly, explicit copy-out),
+   which is then recorded so the copies/byte metric stays honest.  One
+   closure returns every chunk slot — one loan_return, mirroring the one
+   loan_rx the delivery counted.  Idempotent: late duplicate releases are
+   no-ops, as are releases after channel teardown already force-returned
+   the slots (the pool view is dead by then). *)
+let make_release t q pool e ~len =
+  let released = ref false in
+  let finish ~copied =
+    if not !released then begin
+      released := true;
+      q.q_loan_returns <- q.q_loan_returns + 1;
+      t.s.loan_returns <- t.s.loan_returns + 1;
+      if copied then record_copy t len;
+      for i = 0 to chunk_count e - 1 do
+        Payload_pool.release pool (chunk_slot e i)
+      done
+    end
+  in
+  match (match t.loan_fault with None -> Loan_pass | Some f -> f ()) with
+  | Loan_pass -> finish
+  | Loan_leak ->
+      (* Leaky application: the view is never handed back, the slots stay
+         pinned until teardown force-returns them, and the credit check
+         degrades later deliveries to copy-out. *)
+      fun ~copied:_ -> ()
+  | Loan_delay d -> fun ~copied -> Sim.Engine.after (engine t) d (fun () -> finish ~copied)
+
+(* Parse a received frame and count it.  Only a frame the sender did not
+   vouch for with [flag_csum_ok] (trusted-channel checksum elision,
+   DESIGN.md §15) gets its transport checksum verified.  An individual
+   frame that fails to parse is dropped; the FIFO framing itself is still
+   sound. *)
+let parse_rx t e raw ~flags =
+  match
+    (* Literal arguments only: a computed optional would allocate per frame. *)
+    if flags land Fifo.flag_csum_ok = 0 then Netcore.Codec.parse raw
+    else Netcore.Codec.parse ~verify_transport:false raw
+  with
+  | Ok _ as ok ->
+      (match e with Fifo.Jumbo _ -> t.s.jumbo_rx <- t.s.jumbo_rx + 1 | _ -> ());
+      t.s.via_channel_rx <- t.s.via_channel_rx + 1;
+      ok
+  | Error _ as err -> err
+
+let inject t e raw ~flags =
+  match parse_rx t e raw ~flags with
+  | Ok packet -> Stack.inject_rx t.stack packet
+  | Error _ -> ()
+
+(* A [flag_app] descriptor: a socket-shortcut datagram living in the pool
+   slot behind an 8-byte app header, delivered to the application layer
+   directly — as a borrowed view with an explicit release when credit
+   allows, by copy-out to the plain handler otherwise. *)
+let consume_app_desc t q pool e ~slot ~off ~len ~dst_port =
+  if len <= 8 then
+    (* No room for the app header: off-protocol. *)
+    raise Corrupt_channel
+  else begin
+    let hdr = Payload_pool.read pool ~slot ~off ~len:8 in
+    let src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be hdr 0) in
+    let src_port = Bytes.get_uint16_be hdr 4 in
+    let plen = len - 8 in
+    t.s.via_channel_rx <- t.s.via_channel_rx + 1;
+    match t.app_view_handler with
+    | Some handler when can_loan q pool e ->
+        loan_chunks t q pool e;
+        let payload = Payload_pool.read pool ~slot ~off:(off + 8) ~len:plen in
+        handler ~src_ip ~src_port ~dst_port payload
+          ~release:(make_release t q pool e ~len:plen)
+    | Some _ | None -> (
+        let payload = Payload_pool.read pool ~slot ~off:(off + 8) ~len:plen in
+        free_chunks pool e;
+        note_copy_out t q plen;
+        match t.app_handler with
+        | Some handler -> handler ~src_ip ~src_port ~dst_port payload
+        | None -> ())
+  end
+
+(* Receive one pool-backed entry.  The zero-copy receive half: the
+   payload is consumed in place out of the mapped pool, so the CPU pays
+   bookkeeping only.  A jumbo is GRO: its scatter vector reassembles into
+   one frame delivered whole to the stack. *)
+let receive_pooled t q pool e ~bookkeeping =
+  let intact = chunks_valid pool e in
+  Sim.Resource.use (cpu t) bookkeeping;
+  match e with
+  | Fifo.Desc { d_slot; d_off; d_len; d_proto; d_flags }
+    when d_flags land Fifo.flag_app <> 0 ->
+      consume_app_desc t q pool e ~slot:d_slot ~off:d_off ~len:d_len
+        ~dst_port:d_proto
+  | Fifo.Jumbo { j_len; j_chunks; _ } when not intact ->
+      (* Return the slots, account the drop loudly, keep the channel. *)
+      free_chunks pool e;
+      t.s.jumbo_drops <- t.s.jumbo_drops + 1;
+      trace t Sim.Trace.Channel
+        "dom%d: dropped corrupt jumbo on q%d (len=%d chunk-sum=%d chunks=%d)"
+        (my_domid t) q.q_index j_len
+        (Array.fold_left (fun a (_, l) -> a + l) 0 j_chunks)
+        (Array.length j_chunks)
+  | Fifo.Inline _ -> (* [drain_incoming] receives inline entries itself *) ()
+  | Fifo.Desc { d_flags = flags; _ } | Fifo.Jumbo { j_flags = flags; _ } ->
+      let len = entry_len e in
+      if can_loan q pool e then begin
+        (* Loaned delivery: the socket layer borrows the slots and the
+           free-ring return waits for the application's release — no copy
+           charged, none recorded. *)
+        loan_chunks t q pool e;
+        let raw = gather pool e in
+        let release = make_release t q pool e ~len in
+        match parse_rx t e raw ~flags with
+        | Ok packet -> Stack.inject_rx_borrowed t.stack packet ~release
+        | Error _ -> release ~copied:false
+      end
+      else begin
+        note_copy_out t q len;
+        let raw = gather pool e in
+        free_chunks pool e;
+        inject t e raw ~flags
+      end
+
+let drain_incoming t q =
+  let consumed = ref 0 in
+  let p = params t in
+  let continue_draining = ref true in
+  while !continue_draining do
+    match Fifo.pop_entry q.in_fifo with
+    | exception Invalid_argument _ ->
+        (* The peer scribbled over the shared FIFO state.  Never trust it,
+           never crash: poison the channel and let the caller disengage. *)
+        raise Corrupt_channel
+    | None -> continue_draining := false
+    | Some e -> (
+        (* Receiver half of the batch amortization: the first frame of a
+           drain pays the FIFO bookkeeping, the rest only their copies. *)
+        let bookkeeping =
+          if p.Params.xenloop_batch_tx && !consumed > 0 then Sim.Time.span_zero
+          else p.Params.xenloop_fifo_op
+        in
+        incr consumed;
+        match (e, q.q_rx_pool) with
+        | Fifo.Inline raw, _ ->
+            let len = Bytes.length raw in
+            Sim.Resource.use (cpu t)
+              (Sim.Time.span_add bookkeeping (Params.xenloop_copy_cost p len));
+            record_copy t len;
+            inject t e raw ~flags:0
+        | (Fifo.Desc _ | Fifo.Jumbo _), Some pool ->
+            receive_pooled t q pool e ~bookkeeping
+        | (Fifo.Desc _ | Fifo.Jumbo _), None ->
+            (* A descriptor on a channel we never negotiated pools for:
+               the peer is off-protocol. *)
+            raise Corrupt_channel)
+  done;
+  !consumed
+
+(* ------------------------------------------------------------------ *)
+(* Retirement *)
 
 (* Channel death must not leave sockets clamped behind a congestion
    signal that will never clear: reset every latched flow watermark and
-   emit the clear edge. *)
+   emit the clear edge (DESIGN.md §14). *)
 let qos_release_congestion t =
   match t.qos with
   | None -> ()
@@ -1105,334 +1306,6 @@ let qos_release_congestion t =
             qos_signal t qs flow ~congested:false
           end)
         (Qos.Flow_table.flows qs.qt_flows)
-
-let flush_waiting_via_standard_path t ch =
-  (* Transparent fallback: packets that never made it into any queue's
-     FIFO leave through the standard netfront path instead of being
-     dropped.  Snapshot every queue before transmitting: each transmit
-     yields the CPU, and a handler waking mid-flush must find the queues
-     already empty rather than race the iteration. *)
-  let frames =
-    Array.fold_left
-      (fun acc q ->
-        spill_sched_to_waiting q;
-        let fs = List.of_seq (Queue.to_seq q.waiting) in
-        Queue.clear q.waiting;
-        acc @ fs)
-      [] ch.queues
-  in
-  match Stack.device t.stack with
-  | None -> ()
-  | Some dev ->
-      List.iter
-        (fun raw ->
-          (* Our own serialization; a reclaimed jumbo may carry an elided
-             transport checksum (see {!transmit_standard}). *)
-          match Netcore.Codec.parse ~verify_transport:false raw with
-          | Ok packet -> Netstack.Netdevice.transmit dev packet
-          | Error _ -> ())
-        frames
-
-exception Corrupt_channel
-
-(* The release closure handed out with a borrowed pool-slot view.  The
-   receiver's socket layer (or the application, through recvfrom_view)
-   calls it exactly once when done with the view; [copied] reports whether
-   the borrow degenerated into a copy somewhere in the stack (out-of-order
-   TCP hold, fragment reassembly, explicit copy-out), which is then
-   recorded so the copies/byte metric stays honest.  Idempotent: late
-   duplicate releases are no-ops, as are releases after channel teardown
-   already force-returned the slot (the pool view is dead by then). *)
-let make_release t q pool ~slot ~len =
-  let released = ref false in
-  let finish ~copied =
-    if not !released then begin
-      released := true;
-      q.q_loan_returns <- q.q_loan_returns + 1;
-      t.s.loan_returns <- t.s.loan_returns + 1;
-      if copied then record_copy t len;
-      Payload_pool.release pool slot
-    end
-  in
-  match (match t.loan_fault with None -> Loan_pass | Some f -> f ()) with
-  | Loan_pass -> finish
-  | Loan_leak ->
-      (* Leaky application: the view is never handed back, the slot stays
-         pinned until teardown force-returns it, and the credit check
-         degrades later deliveries to copy-out. *)
-      fun ~copied:_ -> ()
-  | Loan_delay d -> fun ~copied -> Sim.Engine.after (engine t) d (fun () -> finish ~copied)
-
-(* Multi-slot variant of {!make_release} for a loaned jumbo delivery
-   (DESIGN.md §15): one release closure hands back every chunk slot of
-   the scatter vector at once.  One closure, one loan_return — mirroring
-   the one loan_rx the delivery counted. *)
-let make_jumbo_release t q pool ~chunks ~len =
-  let released = ref false in
-  let finish ~copied =
-    if not !released then begin
-      released := true;
-      q.q_loan_returns <- q.q_loan_returns + 1;
-      t.s.loan_returns <- t.s.loan_returns + 1;
-      if copied then record_copy t len;
-      Array.iter (fun (slot, _) -> Payload_pool.release pool slot) chunks
-    end
-  in
-  match (match t.loan_fault with None -> Loan_pass | Some f -> f ()) with
-  | Loan_pass -> finish
-  | Loan_leak -> fun ~copied:_ -> ()
-  | Loan_delay d -> fun ~copied -> Sim.Engine.after (engine t) d (fun () -> finish ~copied)
-
-(* A [flag_app] descriptor: a socket-shortcut datagram living in the pool
-   slot behind an 8-byte app header, delivered to the application layer
-   directly — as a borrowed view with an explicit release when credit
-   allows, by copy-out to the plain handler otherwise. *)
-let consume_app_desc t q pool ~slot ~off ~len ~dst_port =
-  if len <= 8 then
-    (* No room for the app header: off-protocol. *)
-    raise Corrupt_channel
-  else begin
-    let hdr = Payload_pool.read pool ~slot ~off ~len:8 in
-    let src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be hdr 0) in
-    let src_port = Bytes.get_uint16_be hdr 4 in
-    let plen = len - 8 in
-    match t.app_view_handler with
-    | Some handler
-      when q.q_max_loans > 0
-           && Payload_pool.outstanding_loans pool < q.q_max_loans ->
-        Payload_pool.loan pool slot;
-        q.q_loan_rx <- q.q_loan_rx + 1;
-        t.s.loan_rx <- t.s.loan_rx + 1;
-        let payload = Payload_pool.read pool ~slot ~off:(off + 8) ~len:plen in
-        let release = make_release t q pool ~slot ~len:plen in
-        t.s.via_channel_rx <- t.s.via_channel_rx + 1;
-        handler ~src_ip ~src_port ~dst_port payload ~release
-    | Some _ | None ->
-        let payload = Payload_pool.read pool ~slot ~off:(off + 8) ~len:plen in
-        Payload_pool.free pool slot;
-        if q.q_max_loans > 0 then begin
-          q.q_loan_credit_stalls <- q.q_loan_credit_stalls + 1;
-          t.s.loan_credit_stalls <- t.s.loan_credit_stalls + 1;
-          record_copy t plen
-        end;
-        t.s.via_channel_rx <- t.s.via_channel_rx + 1;
-        (match t.app_handler with
-        | Some handler -> handler ~src_ip ~src_port ~dst_port payload
-        | None -> ())
-  end
-
-let drain_incoming t q =
-  let consumed = ref 0 in
-  let p = params t in
-  let continue_draining = ref true in
-  let inject raw =
-    incr consumed;
-    match Netcore.Codec.parse raw with
-    | Ok packet ->
-        t.s.via_channel_rx <- t.s.via_channel_rx + 1;
-        Stack.inject_rx t.stack packet
-    | Error _ ->
-        (* An individual frame that fails to parse is dropped; the FIFO
-           framing itself is still sound. *)
-        ()
-  in
-  while !continue_draining do
-    match Fifo.pop_entry q.in_fifo with
-    | exception Invalid_argument _ ->
-        (* The peer scribbled over the shared FIFO state.  Never trust it,
-           never crash: poison the channel and let the caller disengage. *)
-        raise Corrupt_channel
-    | None -> continue_draining := false
-    | Some entry -> (
-        (* Receiver half of the batch amortization: the first frame of a
-           drain pays the FIFO bookkeeping, the rest only their copies. *)
-        let bookkeeping =
-          if p.Params.xenloop_batch_tx && !consumed > 0 then Sim.Time.span_zero
-          else p.Params.xenloop_fifo_op
-        in
-        match entry with
-        | Fifo.Inline raw ->
-            let len = Bytes.length raw in
-            Sim.Resource.use (cpu t)
-              (Sim.Time.span_add bookkeeping (Params.xenloop_copy_cost p len));
-            record_copy t len;
-            inject raw
-        | Fifo.Desc { d_slot; d_off; d_len; d_proto; d_flags } -> (
-            match q.q_rx_pool with
-            | None ->
-                (* A descriptor on a channel we never negotiated pools for:
-                   the peer is off-protocol. *)
-                raise Corrupt_channel
-            | Some pool ->
-                if
-                  d_slot < 0
-                  || d_slot >= Payload_pool.slots pool
-                  || d_off < 0 || d_len <= 0
-                  || d_off + d_len > Payload_pool.slot_bytes pool
-                then raise Corrupt_channel
-                else begin
-                  (* The zero-copy receive half: the payload is consumed in
-                     place out of the mapped pool — bookkeeping only. *)
-                  Sim.Resource.use (cpu t) bookkeeping;
-                  if d_flags land Fifo.flag_app <> 0 then begin
-                    incr consumed;
-                    consume_app_desc t q pool ~slot:d_slot ~off:d_off
-                      ~len:d_len ~dst_port:d_proto
-                  end
-                  else if
-                    q.q_max_loans > 0
-                    && Payload_pool.outstanding_loans pool < q.q_max_loans
-                  then begin
-                    (* Loaned delivery: the socket layer borrows the slot
-                       and the free-ring return waits for the application's
-                       release — no copy charged, none recorded. *)
-                    Payload_pool.loan pool d_slot;
-                    q.q_loan_rx <- q.q_loan_rx + 1;
-                    t.s.loan_rx <- t.s.loan_rx + 1;
-                    let raw =
-                      Payload_pool.read pool ~slot:d_slot ~off:d_off ~len:d_len
-                    in
-                    let release = make_release t q pool ~slot:d_slot ~len:d_len in
-                    incr consumed;
-                    match Netcore.Codec.parse raw with
-                    | Ok packet ->
-                        t.s.via_channel_rx <- t.s.via_channel_rx + 1;
-                        Stack.inject_rx_borrowed t.stack packet ~release
-                    | Error _ -> release ~copied:false
-                  end
-                  else begin
-                    (* Copy-out: on a pre-loan channel this is the plain
-                       descriptor receive (no copy charged or recorded, as
-                       before); on a loan channel it is the transparent
-                       credit-exhaustion fallback, whose one real copy is
-                       recorded. *)
-                    if q.q_max_loans > 0 then begin
-                      q.q_loan_credit_stalls <- q.q_loan_credit_stalls + 1;
-                      t.s.loan_credit_stalls <- t.s.loan_credit_stalls + 1;
-                      record_copy t d_len
-                    end;
-                    let raw =
-                      Payload_pool.read pool ~slot:d_slot ~off:d_off ~len:d_len
-                    in
-                    Payload_pool.free pool d_slot;
-                    inject raw
-                  end
-                end)
-        | Fifo.Jumbo { j_len; j_proto = _; j_flags; j_chunks } -> (
-            match q.q_rx_pool with
-            | None ->
-                (* A jumbo descriptor on a channel we never negotiated
-                   pools for: the peer is off-protocol. *)
-                raise Corrupt_channel
-            | Some pool ->
-                (* GRO receive: the scatter vector reassembles into one
-                   frame delivered whole to the stack — no per-MSS
-                   segment processing on this side either. *)
-                Sim.Resource.use (cpu t) bookkeeping;
-                let nslots = Payload_pool.slots pool in
-                let sb = Payload_pool.slot_bytes pool in
-                let nchunks = Array.length j_chunks in
-                (* Slot sanity is framing-level: an out-of-range or
-                   repeated slot means the shared state itself cannot be
-                   trusted — poison the channel. *)
-                let slots_ok = ref (nchunks > 0) in
-                for i = 0 to nchunks - 1 do
-                  let s, _ = j_chunks.(i) in
-                  if s < 0 || s >= nslots then slots_ok := false;
-                  for k = 0 to i - 1 do
-                    if fst j_chunks.(k) = s then slots_ok := false
-                  done
-                done;
-                if not !slots_ok then raise Corrupt_channel;
-                (* Length-vector sanity is frame-level: a corrupted
-                   scatter length (chaos [Jumbo_truncate]) makes exactly
-                   this frame undeliverable — return the slots, account
-                   the drop loudly, keep the channel.  Never deliver
-                   bytes the vector does not account for. *)
-                let sum = Array.fold_left (fun a (_, l) -> a + l) 0 j_chunks in
-                let lens_ok =
-                  j_len > 0 && sum = j_len
-                  && Array.for_all (fun (_, l) -> l > 0 && l <= sb) j_chunks
-                in
-                if not lens_ok then begin
-                  Array.iter (fun (s, _) -> Payload_pool.free pool s) j_chunks;
-                  t.s.jumbo_drops <- t.s.jumbo_drops + 1;
-                  trace t Sim.Trace.Channel
-                    "dom%d: dropped corrupt jumbo on q%d \
-                     (len=%d chunk-sum=%d chunks=%d)"
-                    (my_domid t) q.q_index j_len sum nchunks;
-                  incr consumed
-                end
-                else begin
-                  (* The sender stamped [flag_csum_ok] when it vouches
-                     for the payload (trusted-channel checksum elision);
-                     only an unstamped frame still gets its transport
-                     checksum verified. *)
-                  let verify_transport =
-                    j_flags land Fifo.flag_csum_ok = 0
-                  in
-                  let gather () =
-                    let raw = Bytes.create j_len in
-                    let off = ref 0 in
-                    Array.iter
-                      (fun (s, l) ->
-                        Payload_pool.read_into pool ~slot:s ~off:0 ~len:l
-                          ~dst:raw ~dst_off:!off;
-                        off := !off + l)
-                      j_chunks;
-                    raw
-                  in
-                  if
-                    q.q_max_loans > 0
-                    && Payload_pool.outstanding_loans pool + nchunks
-                       <= q.q_max_loans
-                  then begin
-                    (* Loaned GRO delivery: every chunk slot is borrowed
-                       for the lifetime of the one view; no copy charged
-                       or recorded. *)
-                    Array.iter (fun (s, _) -> Payload_pool.loan pool s) j_chunks;
-                    q.q_loan_rx <- q.q_loan_rx + 1;
-                    t.s.loan_rx <- t.s.loan_rx + 1;
-                    let raw = gather () in
-                    let release =
-                      make_jumbo_release t q pool ~chunks:j_chunks ~len:j_len
-                    in
-                    incr consumed;
-                    match Netcore.Codec.parse ~verify_transport raw with
-                    | Ok packet ->
-                        t.s.jumbo_rx <- t.s.jumbo_rx + 1;
-                        t.s.via_channel_rx <- t.s.via_channel_rx + 1;
-                        Stack.inject_rx_borrowed t.stack packet ~release
-                    | Error _ -> release ~copied:false
-                  end
-                  else begin
-                    (* Copy-out: the plain gso receive on a pre-loan
-                       channel, or the transparent credit-exhaustion
-                       fallback on a loan channel (whose one real copy
-                       is recorded). *)
-                    if q.q_max_loans > 0 then begin
-                      q.q_loan_credit_stalls <- q.q_loan_credit_stalls + 1;
-                      t.s.loan_credit_stalls <- t.s.loan_credit_stalls + 1;
-                      record_copy t j_len
-                    end;
-                    let raw = gather () in
-                    Array.iter (fun (s, _) -> Payload_pool.free pool s) j_chunks;
-                    incr consumed;
-                    match Netcore.Codec.parse ~verify_transport raw with
-                    | Ok packet ->
-                        t.s.jumbo_rx <- t.s.jumbo_rx + 1;
-                        t.s.via_channel_rx <- t.s.via_channel_rx + 1;
-                        Stack.inject_rx t.stack packet
-                    | Error _ -> ()
-                  end
-                end))
-  done;
-  !consumed
-
-let drain_all_incoming t ch =
-  Array.iter
-    (fun q -> try ignore (drain_incoming t q) with Corrupt_channel -> ())
-    ch.queues
 
 (* Channel teardown must not wait for application releases: every loan
    still in flight is force-returned to the free ring now (the pool pages
@@ -1453,38 +1326,83 @@ let force_return_channel_loans t ch =
           end)
     ch.queues
 
-(* Abandon a channel whose shared state can no longer be trusted.  One
-   corrupt queue poisons the whole channel: the queues share their page
-   pool and their cleanup, so they go together or not at all. *)
-let quarantine t peer_domid ch =
-  t.s.corrupt_channels <- t.s.corrupt_channels + 1;
-  trace t Sim.Trace.Teardown "dom%d: quarantining corrupt channel to dom%d"
-    (my_domid t) peer_domid;
-  Array.iter
-    (fun q ->
-      Queue.clear q.waiting;
-      (match q.q_sched with Some sched -> Qos.Drr.clear sched | None -> ());
-      (try Fifo.mark_inactive q.out_fifo with Invalid_argument _ -> ());
-      try Fifo.mark_inactive q.in_fifo with Invalid_argument _ -> ())
-    ch.queues;
-  qos_release_congestion t;
-  (* Tell the peer on every queue so it disengages too. *)
-  Array.iter
-    (fun q -> try notify_peer ~force:true t q with Invalid_argument _ -> ())
-    ch.queues;
-  force_return_channel_loans t ch;
-  ch.cleanup ();
-  Hashtbl.remove t.peers peer_domid;
-  bump_epoch t;
-  t.s.channels_torn_down <- t.s.channels_torn_down + 1
+(* Frames the peer has not yet popped would be stranded once the FIFO
+   pages go back to the frame pool (the peer reads them only after its
+   event latency, by which time the pages may be reused).  Reclaim them
+   and put them, in order, ahead of the queue's waiting list.  We wrote
+   every pool-backed payload, so it is gathered back out of our own tx
+   pool before the pool pages are released with the channel; no slot
+   return is needed, the free ring dies with the pages.  A jumbo goes
+   back as one frame (netfront re-segments it).  A scatter vector we
+   cannot trust — a chaos fault corrupted it before teardown — is dropped
+   rather than read out of range. *)
+let reclaim_stranded t ch q =
+  let stranded = Queue.create () in
+  (try
+     let reclaiming = ref true in
+     while !reclaiming do
+       match (Fifo.pop_entry q.out_fifo, q.q_tx_pool) with
+       | None, _ -> reclaiming := false
+       | Some (Fifo.Inline raw), _ -> Queue.push raw stranded
+       | Some _, None -> ()
+       | Some e, Some pool -> (
+           match chunks_valid pool e with
+           | false | (exception Corrupt_channel) ->
+               t.s.jumbo_drops <- t.s.jumbo_drops + 1
+           | true -> (
+               let raw = gather pool e in
+               match e with
+               | Fifo.Desc { d_flags; d_len; d_proto; _ }
+                 when d_flags land Fifo.flag_app <> 0 && d_len > 8 ->
+                   (* App descriptor: the slot holds [app header |
+                      datagram], not a serialized frame.  Rebuild the
+                      equivalent control frame so it can travel over
+                      netfront. *)
+                   let msg =
+                     Proto.App_payload
+                       {
+                         src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be raw 0);
+                         src_port = Bytes.get_uint16_be raw 4;
+                         dst_port = d_proto;
+                         payload = Bytes.sub raw 8 (d_len - 8);
+                       }
+                   in
+                   Queue.push
+                     (Netcore.Codec.serialize
+                        (Netcore.Packet.xenloop_ctrl
+                           ~src_mac:(Stack.mac_addr t.stack)
+                           ~dst_mac:ch.peer_mac (Proto.encode msg)))
+                     stranded
+               | _ -> Queue.push raw stranded))
+     done
+   with Invalid_argument _ -> ());
+  Queue.transfer q.waiting stranded;
+  Queue.transfer stranded q.waiting
 
-let teardown_channel t ~save ch =
-  trace t Sim.Trace.Teardown "dom%d: tearing down channel to dom%d (save=%b, queues=%d)"
-    (my_domid t) ch.peer_domid save (Array.length ch.queues);
-  (* Receive anything still pending on every queue, kill the shared state
-     so concurrent senders bounce off, save or flush the unsent packets,
-     tell the peer, disengage. *)
-  if ch.connected then drain_all_incoming t ch;
+(* What retirement does with the frames that never reached the peer. *)
+type backlog =
+  | Drop  (** quarantine: nothing from an untrusted channel is kept *)
+  | Save  (** pre-migration: resent after restore (paper Sect. 3.4) *)
+  | Flush  (** everything else: out through netfront now, never lost *)
+
+(* Retire a channel (paper Sect. 3.3, "Channel teardown"): the one path
+   behind our own teardown (unload, migration, eviction), the peer's, and
+   quarantine.  Receive what is still pending; mark every queue inactive
+   so a concurrent sender bounces off; release every latched congestion
+   signal; reclaim stranded frames and deal with the backlog; tell the
+   peer if [tell_peer]; give the shared state back.  A quarantined
+   channel ([Drop]) is trusted for nothing: nothing is received from it
+   or read back out of it.  Callers unregister the channel. *)
+let retire t ch ~backlog ~tell_peer =
+  trace t Sim.Trace.Teardown "dom%d: tearing down channel to dom%d (%s, queues=%d)"
+    (my_domid t) ch.peer_domid
+    (match backlog with Drop -> "drop" | Save -> "save" | Flush -> "flush")
+    (Array.length ch.queues);
+  let trusted = backlog <> Drop in
+  if trusted then
+    Array.iter
+      (fun q -> try ignore (drain_incoming t q) with Corrupt_channel -> ())
+      ch.queues;
   (* Every queue goes inactive before any queue's frames are reclaimed: a
      handler that was mid-push on {e any} queue when we got here must see
      try_push fail, not feed frames into pages this function is about to
@@ -1492,110 +1410,66 @@ let teardown_channel t ~save ch =
      atomic. *)
   Array.iter
     (fun q ->
-      Fifo.mark_inactive q.out_fifo;
-      Fifo.mark_inactive q.in_fifo)
+      (try Fifo.mark_inactive q.out_fifo with Invalid_argument _ -> ());
+      try Fifo.mark_inactive q.in_fifo with Invalid_argument _ -> ())
     ch.queues;
-  (* QoS mode: scheduled frames rejoin the plain waiting list so the
-     save/flush below handles one backlog representation; any latched
-     congestion signal is released so no socket stays clamped behind a
-     dead channel. *)
-  Array.iter spill_sched_to_waiting ch.queues;
+  (* QoS mode: scheduled frames rejoin the plain waiting list (service
+     order, each flow FIFO), so the backlog below has one shape. *)
+  Array.iter
+    (fun q ->
+      Option.iter
+        (fun sched ->
+          List.iter (fun (_, raw, _) -> Queue.push raw q.waiting) (Qos.Drr.drain_all sched))
+        q.q_sched)
+    ch.queues;
   qos_release_congestion t;
-  if ch.connected then
+  if trusted then Array.iter (reclaim_stranded t ch) ch.queues;
+  (* Snapshot every queue before transmitting: each transmit yields the
+     CPU, and a handler waking mid-flush must find the queues already
+     empty rather than race the iteration. *)
+  let frames =
+    Array.fold_left
+      (fun acc q ->
+        let fs = List.of_seq (Queue.to_seq q.waiting) in
+        Queue.clear q.waiting;
+        acc @ fs)
+      [] ch.queues
+  in
+  (match backlog with
+  | Drop -> ()
+  | Save -> t.saved_frames <- t.saved_frames @ frames
+  | Flush -> List.iter (transmit_standard t) frames);
+  if tell_peer then
     Array.iter
-      (fun q ->
-        (* Frames the peer has not yet popped would be stranded once the
-           FIFO pages go back to the frame pool (the peer reads them only
-           after its event latency, by which time the pages may be
-           reused).  Reclaim them per queue and let the save/flush below
-           carry them, in order, ahead of that queue's waiting list. *)
-        let stranded = Queue.create () in
-        (try
-           let reclaiming = ref true in
-           while !reclaiming do
-             match Fifo.pop_entry q.out_fifo with
-             | Some (Fifo.Inline raw) -> Queue.push raw stranded
-             | Some (Fifo.Desc { d_slot; d_off; d_len; d_proto; d_flags }) -> (
-                 (* A descriptor the peer never consumed: we wrote the
-                    payload, so we can read it back out of our own tx pool
-                    before the pool pages are released with the channel.
-                    No slot return needed — the free ring dies with the
-                    pages. *)
-                 match q.q_tx_pool with
-                 | Some pool ->
-                     let raw =
-                       Payload_pool.read pool ~slot:d_slot ~off:d_off ~len:d_len
-                     in
-                     if d_flags land Fifo.flag_app <> 0 && d_len > 8 then begin
-                       (* App descriptor: the slot holds [app header |
-                          datagram], not a serialized frame.  Rebuild the
-                          equivalent control frame so the save/flush path
-                          can carry it over netfront. *)
-                       let msg =
-                         Proto.App_payload
-                           {
-                             src_ip =
-                               Netcore.Ip.of_int32 (Bytes.get_int32_be raw 0);
-                             src_port = Bytes.get_uint16_be raw 4;
-                             dst_port = d_proto;
-                             payload = Bytes.sub raw 8 (d_len - 8);
-                           }
-                       in
-                       Queue.push
-                         (Netcore.Codec.serialize
-                            (Netcore.Packet.xenloop_ctrl
-                               ~src_mac:(Stack.mac_addr t.stack)
-                               ~dst_mac:ch.peer_mac (Proto.encode msg)))
-                         stranded
-                     end
-                     else Queue.push raw stranded
-                 | None -> ())
-             | Some (Fifo.Jumbo { j_len; j_chunks; _ }) -> (
-                 (* A jumbo the peer never consumed: gather it back out
-                    of our own tx pool so the save/flush below can carry
-                    it (it re-enters as one frame; netfront re-segments).
-                    A scatter vector we cannot trust — a chaos fault
-                    corrupted it before teardown — is dropped rather
-                    than read out of range. *)
-                 match q.q_tx_pool with
-                 | Some pool
-                   when j_len > 0
-                        && Array.for_all
-                             (fun (s, l) ->
-                               s >= 0
-                               && s < Payload_pool.slots pool
-                               && l > 0
-                               && l <= Payload_pool.slot_bytes pool)
-                             j_chunks
-                        && Array.fold_left (fun a (_, l) -> a + l) 0 j_chunks
-                           = j_len ->
-                     let raw = Bytes.create j_len in
-                     let off = ref 0 in
-                     Array.iter
-                       (fun (s, l) ->
-                         Payload_pool.read_into pool ~slot:s ~off:0 ~len:l
-                           ~dst:raw ~dst_off:!off;
-                         off := !off + l)
-                       j_chunks;
-                     Queue.push raw stranded
-                 | Some _ | None -> t.s.jumbo_drops <- t.s.jumbo_drops + 1)
-             | None -> reclaiming := false
-           done
-         with Invalid_argument _ -> ());
-        Queue.transfer q.waiting stranded;
-        Queue.transfer stranded q.waiting)
+      (fun q -> try notify_peer ~force:true t q with Invalid_argument _ -> ())
       ch.queues;
-  if save then
-    Array.iter
-      (fun q ->
-        t.saved_frames <- t.saved_frames @ List.of_seq (Queue.to_seq q.waiting);
-        Queue.clear q.waiting)
-      ch.queues
-  else flush_waiting_via_standard_path t ch;
-  if ch.connected then Array.iter (fun q -> notify_peer ~force:true t q) ch.queues;
   force_return_channel_loans t ch;
   ch.cleanup ();
   t.s.channels_torn_down <- t.s.channels_torn_down + 1
+
+(* Unregister [ch] if it is still the channel registered for
+   [peer_domid], before retiring it (retirement yields the CPU).  An
+   event handler parked in its poll window, or a busy-poll poller, can
+   wake after [unload] already disengaged or replaced this very channel;
+   only the first retirement may clean up. *)
+let unregister t peer_domid ch =
+  match Hashtbl.find_opt t.peers peer_domid with
+  | Some (Active ch') when ch' == ch ->
+      Hashtbl.remove t.peers peer_domid;
+      bump_epoch t;
+      true
+  | Some (Active _ | Bootstrapping _ | Failed_until _) | None -> false
+
+(* Abandon a channel whose shared state can no longer be trusted.  One
+   corrupt queue poisons the whole channel: the queues share their page
+   pool and their cleanup, so they go together or not at all. *)
+let quarantine t peer_domid ch =
+  if unregister t peer_domid ch then begin
+    t.s.corrupt_channels <- t.s.corrupt_channels + 1;
+    trace t Sim.Trace.Teardown "dom%d: quarantining corrupt channel to dom%d"
+      (my_domid t) peer_domid;
+    retire t ch ~backlog:Drop ~tell_peer:true
+  end
 
 let disengage_peer t peer_domid ~save =
   match Hashtbl.find_opt t.peers peer_domid with
@@ -1604,7 +1478,7 @@ let disengage_peer t peer_domid ~save =
          waking handler cannot find the channel and tear it down twice. *)
       Hashtbl.remove t.peers peer_domid;
       bump_epoch t;
-      teardown_channel t ~save ch
+      retire t ch ~backlog:(if save then Save else Flush) ~tell_peer:true
   | Some (Bootstrapping (Awaiting_ack ba)) ->
       ba.ba_channel.cleanup ();
       Hashtbl.remove t.peers peer_domid
@@ -1682,7 +1556,7 @@ let evict_channel t peer_domid =
       t.s.channels_evicted <- t.s.channels_evicted + 1;
       trace t Sim.Trace.Teardown "dom%d: evicting channel to dom%d (LRU)"
         (my_domid t) peer_domid;
-      teardown_channel t ~save:false ch;
+      retire t ch ~backlog:Flush ~tell_peer:true;
       true
   | Some (Bootstrapping _) | Some (Failed_until _) | None -> false
 
@@ -1780,25 +1654,12 @@ let announce_epoch t = t.announce_epoch
 (* ------------------------------------------------------------------ *)
 (* Event-channel handler: packets arrived, or space was freed *)
 
-(* Peer marked the channel inactive: drain what's left on every queue,
-   then disengage (paper Sect. 3.3, "Channel teardown").  Seeing any one
-   queue inactive means the whole channel is going — the peer marks them
-   all before notifying. *)
+(* Peer marked the channel inactive: retire our end without telling it
+   (paper Sect. 3.3, "Channel teardown").  Seeing any one queue inactive
+   means the whole channel is going — the peer marks them all before
+   notifying. *)
 let handle_peer_teardown t peer_domid ch =
-  (* A handler parked in its poll window can wake after [unload] already
-     disengaged this very channel; only the first teardown may clean up. *)
-  match Hashtbl.find_opt t.peers peer_domid with
-  | Some (Active ch') when ch' == ch ->
-      (* Unregister first: the drain below yields, and only the first
-         teardown may run the cleanup. *)
-      Hashtbl.remove t.peers peer_domid;
-      bump_epoch t;
-      drain_all_incoming t ch;
-      flush_waiting_via_standard_path t ch;
-      force_return_channel_loans t ch;
-      ch.cleanup ();
-      t.s.channels_torn_down <- t.s.channels_torn_down + 1
-  | _ -> ()
+  if unregister t peer_domid ch then retire t ch ~backlog:Flush ~tell_peer:false
 
 (* One quiescence round on one queue: receive everything pending, then
    service our own waiting list into the space that popping just freed. *)
@@ -1890,7 +1751,7 @@ let start_poller t peer_domid ch q =
           with
           | exception Corrupt_channel ->
               running := false;
-              if channel_current t peer_domid ch then quarantine t peer_domid ch
+              quarantine t peer_domid ch
           | 0 ->
               incr idle;
               t.s.poll_rounds <- t.s.poll_rounds + 1;
@@ -2916,10 +2777,7 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
                           Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
                           q.q_steered <- q.q_steered + 1;
                           t.s.steered_packets <- t.s.steered_packets + 1;
-                          q.q_desc_tx <- q.q_desc_tx + 1;
-                          t.s.desc_tx <- t.s.desc_tx + 1;
-                          q.q_loan_tx <- q.q_loan_tx + 1;
-                          t.s.loan_tx <- t.s.loan_tx + 1;
+                          count_desc_tx t q;
                           t.s.via_channel_tx <- t.s.via_channel_tx + 1;
                           notify_peer t q;
                           true
@@ -2979,18 +2837,8 @@ let restore_after_migration t =
   trace t Sim.Trace.Migration "dom%d: restored; re-advertising, %d saved frame(s)"
     (my_domid t) (List.length t.saved_frames);
   advertise t;
-  (* Resend packets saved from the waiting lists (paper Sect. 3.4).  Our
-     own serialization; a reclaimed jumbo may carry an elided transport
-     checksum (see {!transmit_standard}). *)
-  (match Stack.device t.stack with
-  | None -> ()
-  | Some dev ->
-      List.iter
-        (fun raw ->
-          match Netcore.Codec.parse ~verify_transport:false raw with
-          | Ok packet -> Netstack.Netdevice.transmit dev packet
-          | Error _ -> ())
-        t.saved_frames);
+  (* Resend packets saved from the waiting lists (paper Sect. 3.4). *)
+  List.iter (transmit_standard t) t.saved_frames;
   t.saved_frames <- []
 
 let unload t =

@@ -229,6 +229,62 @@ let test_tenant_policy_drop_and_divert () =
         (Gm.invariant_violations m1))
 
 (* ------------------------------------------------------------------ *)
+(* Channel death releases backpressure, whichever end retires it *)
+
+(* A flow whose watermark latched must see the clear edge when its
+   channel goes away, or its socket stays clamped over netfront.  Both
+   retirements — our own unload and the peer's — must deliver it. *)
+let congestion_released_on_teardown ~peer_initiated () =
+  let params = { qos_params with qos_flow_queue_max = 8 } in
+  let duo = Setup.build ~params Setup.Xenloop_path in
+  let m1, m2 = modules_of duo in
+  Experiment.execute duo (fun () ->
+      let server_sock =
+        match Netstack.Udp.bind duo.Setup.server.Endpoint.udp ~port:979 () with
+        | Ok s -> s
+        | Error _ -> Alcotest.fail "bind server"
+      in
+      let client_sock =
+        match Netstack.Udp.bind duo.Setup.client.Endpoint.udp () with
+        | Ok s -> s
+        | Error _ -> Alcotest.fail "bind client"
+      in
+      let send () =
+        Netstack.Udp.sendto client_sock ~dst:duo.Setup.server_ip ~dst_port:979
+          (Bytes.make 64 'c')
+      in
+      send ();
+      ignore (Netstack.Udp.recvfrom server_sock);
+      Alcotest.(check (list int)) "channel up" [ 2 ] (Gm.connected_peer_ids m1);
+      let edges = ref [] in
+      Gm.install_tenant_policy m1 ~tenant:5
+        (Policy.make ~name:"edges"
+           ~classify:(fun key ->
+             match key with
+             | Steering.Ip_flow { dport = 979; _ } -> Some 5
+             | _ -> None)
+           ~on_congestion:(fun _ ~congested -> edges := congested :: !edges)
+           ());
+      (* Every push is refused, so the flow backlogs past its high
+         watermark and the tenant sees the raise edge. *)
+      Gm.set_push_fault_injector m1 (Some (fun () -> true));
+      for _ = 1 to 7 do
+        send ()
+      done;
+      Alcotest.(check (list bool)) "raised" [ true ] (List.rev !edges);
+      Gm.unload (if peer_initiated then m2 else m1);
+      Sim.Engine.sleep (Sim.Time.ms 5);
+      Alcotest.(check (list int)) "channel gone" [] (Gm.connected_peer_ids m1);
+      Alcotest.(check (list bool)) "raise then clear" [ true; false ]
+        (List.rev !edges);
+      Alcotest.(check bool) "no flow left congested" true
+        (List.for_all (fun fs -> not fs.Gm.fs_congested) (Gm.flow_stats m1));
+      (* The backlog itself left over netfront, none of it lost. *)
+      for _ = 1 to 7 do
+        ignore (Netstack.Udp.recvfrom server_sock)
+      done)
+
+(* ------------------------------------------------------------------ *)
 (* qcheck: every DRR visit serves within one replenishment of the
    flow's banked credit, and nothing is lost or invented. *)
 
@@ -286,6 +342,10 @@ let suites =
           test_tenant_policy_install_teardown;
         Alcotest.test_case "drop and divert actions" `Quick
           test_tenant_policy_drop_and_divert;
+        Alcotest.test_case "local teardown releases congestion" `Quick
+          (congestion_released_on_teardown ~peer_initiated:false);
+        Alcotest.test_case "peer teardown releases congestion" `Quick
+          (congestion_released_on_teardown ~peer_initiated:true);
       ] );
     ("qos.qcheck", qsuite [ prop_drr_visit_bounded ]);
   ]

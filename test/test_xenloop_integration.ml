@@ -274,65 +274,117 @@ let prop_channel_random_bidirectional_traffic =
             sizes_ba;
           !ok))
 
-let test_corrupt_peer_is_quarantined () =
-  (* A malicious or buggy peer scribbles over the shared FIFO: this guest
-     must tear the channel down and keep communicating via netfront — never
-     crash (paper's isolation/security premise).  Single-queue channel so
-     the descriptor page behind gref 0 below is the one the victim's next
-     drain reads. *)
+(* What a malicious or buggy peer writes into the shared channel state. *)
+type jumbo_fault =
+  | Repeated_slot  (** a scatter vector naming one slot twice *)
+  | Slot_out_of_range  (** a chunk slot past the pool's end *)
+  | Bad_length  (** chunk lengths that do not sum to the frame *)
+
+type scribble =
+  | Bogus_indices  (** FIFO indices forced apart over garbage metadata *)
+  | Corrupt_jumbo of jumbo_fault
+
+(* Map [gref] of the listener's grant table as domain 2 would. *)
+let map_as_connector gt gref =
+  match Memory.Grant_table.map gt gref ~by:2 ~meter:(Memory.Cost_meter.create ()) with
+  | Ok page -> page
+  | Error e ->
+      Alcotest.failf "could not map gref %d: %s" gref
+        (Memory.Grant_table.error_to_string e)
+
+(* Map the listener->connector FIFO and its payload pool, and publish one
+   jumbo descriptor whose scatter vector is corrupted as [fault] says.
+   The listener grants its lc FIFO pages first (gref 0 onwards), then the
+   cl FIFO, then the cl payload pool, then the lc one.  The slots are
+   really allocated from the sender's pool, so a receiver that returns
+   them keeps the free ring balanced (checked below, so a wrong guess at
+   the grant order fails loudly). *)
+let push_corrupt_jumbo gt fault =
+  let map_fifo desc_gref =
+    let desc = map_as_connector gt desc_gref in
+    let grefs = Xenloop.Fifo.read_grefs ~desc in
+    ( Xenloop.Fifo.attach ~desc
+        ~data:(Array.of_list (List.map (map_as_connector gt) grefs)),
+      List.fold_left max desc_gref grefs )
+  in
+  let lc, lc_last = map_fifo 0 in
+  let _, cl_last = map_fifo (lc_last + 1) in
+  let cl_pool_ctrl = map_as_connector gt (cl_last + 1) in
+  let cl_pool_pages = Array.length (Xenloop.Payload_pool.read_grefs ~ctrl:cl_pool_ctrl) in
+  let ctrl = map_as_connector gt (cl_last + 2 + cl_pool_pages) in
+  let pool =
+    Xenloop.Payload_pool.attach ~ctrl
+      ~data:(Array.map (map_as_connector gt) (Xenloop.Payload_pool.read_grefs ~ctrl))
+  in
+  let sb = Xenloop.Payload_pool.slot_bytes pool in
+  let s0 = Xenloop.Payload_pool.alloc_slot pool in
+  let s1 = Xenloop.Payload_pool.alloc_slot pool in
+  let slots, total_len =
+    match fault with
+    | Repeated_slot -> ([| s0; s0 |], sb + 100)
+    | Slot_out_of_range -> ([| s0; Xenloop.Payload_pool.slots pool + 7 |], sb + 100)
+    | Bad_length -> ([| s0; s1 |], sb + 99)
+  in
+  Alcotest.(check bool) "corrupt jumbo published" true
+    (Xenloop.Fifo.try_push_jumbo lc ~flags:Xenloop.Fifo.flag_csum_ok
+       ~chunk_slots:slots ~chunk_lens:[| sb; 100 |] ~nchunks:2 ~total_len
+       ~proto_hint:6 ());
+  (pool, Xenloop.Payload_pool.free_slots pool + 2)
+
+let corrupt_peer scribble () =
+  (* A malicious or buggy peer scribbles over the shared channel state:
+     this guest must never crash.  Framing it cannot trust (bogus FIFO
+     indices, a jumbo naming a slot twice or past the pool) poisons the
+     channel, which is torn down while traffic continues via netfront
+     (paper's isolation/security premise).  A jumbo whose chunk lengths
+     are wrong is one undeliverable frame: it is dropped and counted,
+     and the channel stays up.  Single-queue channel so the FIFO behind
+     gref 0 below is the one the victim's next drain reads. *)
   let duo = Setup.build ~client_queues:1 ~server_queues:1 Setup.Xenloop_path in
   let m1, m2 = modules_of duo in
   let client = host_of duo.Setup.client in
   Experiment.execute duo (fun () ->
-      (* Reach into the channel guest2 (listener, domid 1... the listener is
-         the smaller domid: guest1) created, and corrupt the descriptor of
-         the FIFO feeding guest2 by pushing garbage through a raw page
-         write.  We simulate the scribble by asking the hook to push, then
-         smashing the entry's magic via the machine's grant table pages is
-         internal; instead, use the simplest reliable scribble: force the
-         shared indices apart so pop sees a bogus entry. *)
-      ignore m1;
-      (* Locate the in-FIFO of guest2's channel via its module internals is
-         not part of the API; instead corrupt through the public surface:
-         send one datagram to populate, then use Fifo's own test hook on
-         the page the listener granted.  The scenario keeps the pages
-         private, so emulate the effect: deliver a crafted event after
-         marking indices inconsistent using the descriptor exposed to the
-         connector through the machine's grant table. *)
-      (* Pragmatic approach: grab the listener's grant table and map the
-         most recently granted descriptor page, exactly as a malicious
-         connector would. *)
+      (* Map pages the listener (guest1, the smaller domid) granted to
+         guest2, exactly as a malicious connector would.  gref 0 is the
+         listener->connector FIFO's descriptor page, read by guest2. *)
       let machine = Option.get duo.Setup.machine in
       let gt = Option.get (Hypervisor.Machine.grant_table machine 1) in
-      let meter = Memory.Cost_meter.create () in
-      (* The listener granted descriptor+data pages to domain 2 with grefs
-         starting at 0; gref 0 is the first FIFO's descriptor page. *)
-      (match Memory.Grant_table.map gt 0 ~by:2 ~meter with
-      | Ok desc ->
-          (* Make back > front by a bogus amount with garbage where entry
-             metadata should be: the next pop on that FIFO sees a corrupt
-             entry. *)
-          Memory.Page.set_u32 desc 4 9999
-      | Error e ->
-          Alcotest.failf "could not map descriptor: %s"
-            (Memory.Grant_table.error_to_string e));
-      (* Trigger the victim's event handler: guest2 (connector) pushes
-         nothing; the corrupted FIFO is the one guest1 reads from?  gref 0
-         is the listener->connector direction, read by guest2.  Send
-         traffic so guest2's handler runs. *)
+      let pool_check =
+        match scribble with
+        | Bogus_indices ->
+            (* Make back > front by a bogus amount with garbage where
+               entry metadata should be. *)
+            Memory.Page.set_u32 (map_as_connector gt 0) 4 9999;
+            None
+        | Corrupt_jumbo fault ->
+            Alcotest.(check (list int)) "channel up" [ 1 ] (Gm.connected_peer_ids m2);
+            Some (push_corrupt_jumbo gt fault)
+      in
+      (* Traffic from guest1 notifies guest2, whose drain meets the
+         scribble first. *)
       ignore
         (Netstack.Stack.ping client.Workloads.Host.stack ~dst:duo.Setup.server_ip
            ~timeout:(Sim.Time.ms 50) ());
       Sim.Engine.sleep (Sim.Time.ms 5);
-      (* One of the two modules quarantined its side. *)
       let corrupted =
         (Gm.stats m1).Gm.corrupt_channels + (Gm.stats m2).Gm.corrupt_channels
       in
-      Alcotest.(check bool) "channel quarantined" true (corrupted >= 1);
-      (* Connectivity survives via the standard path. *)
+      (match (scribble, pool_check) with
+      | Corrupt_jumbo Bad_length, Some (pool, free_before) ->
+          Alcotest.(check int) "no quarantine" 0 corrupted;
+          Alcotest.(check int) "drop counted" 1 (Gm.stats m2).Gm.jumbo_drops;
+          Alcotest.(check int) "nothing delivered from it" 0
+            (Gm.stats m2).Gm.jumbo_rx;
+          Alcotest.(check int) "its slots went back" free_before
+            (Xenloop.Payload_pool.free_slots pool);
+          Alcotest.(check (list int)) "channel kept" [ 1 ] (Gm.connected_peer_ids m2)
+      | _ ->
+          (* One of the two modules quarantined its side. *)
+          Alcotest.(check bool) "channel quarantined" true (corrupted >= 1));
+      (* Connectivity survives, on whichever path is left. *)
       match Netstack.Stack.ping client.Workloads.Host.stack ~dst:duo.Setup.server_ip () with
       | Some _ -> ()
-      | None -> Alcotest.fail "connectivity lost after quarantine")
+      | None -> Alcotest.fail "connectivity lost after the scribble")
 
 let test_trace_narrates_lifecycle () =
   let tr = Sim.Trace.create () in
@@ -602,7 +654,13 @@ let suites =
         Alcotest.test_case "waiting list under pressure" `Quick
           test_waiting_list_engages_under_pressure;
         Alcotest.test_case "corrupt peer quarantined" `Quick
-          test_corrupt_peer_is_quarantined;
+          (corrupt_peer Bogus_indices);
+        Alcotest.test_case "repeated jumbo slot quarantined" `Quick
+          (corrupt_peer (Corrupt_jumbo Repeated_slot));
+        Alcotest.test_case "out-of-range jumbo slot quarantined" `Quick
+          (corrupt_peer (Corrupt_jumbo Slot_out_of_range));
+        Alcotest.test_case "bad jumbo length dropped, channel kept" `Quick
+          (corrupt_peer (Corrupt_jumbo Bad_length));
         Alcotest.test_case "trace narrates lifecycle" `Quick
           test_trace_narrates_lifecycle;
         Alcotest.test_case "module reload re-forms channels" `Slow

@@ -181,6 +181,53 @@ let test_loans_disabled_world_uses_copyout () =
       Alcotest.(check int) "no stalls either (credit is zero, not dry)" 0
         rx.Gm.loan_credit_stalls)
 
+(* The same degradation for jumbo descriptors (DESIGN.md §15): a loaned
+   jumbo pins every chunk slot of its scatter vector, so once the credit
+   cannot cover a whole vector the next jumbo is copied out — counted as
+   a stall, bytes unchanged. *)
+let test_jumbo_credit_exhaustion_copyout () =
+  let params =
+    { Hypervisor.Params.default with Hypervisor.Params.xenloop_max_loans = 6 }
+  in
+  let duo = Setup.build ~params Setup.Xenloop_path in
+  let _, m2 = modules_of duo in
+  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+  Experiment.execute duo (fun () ->
+      let listener =
+        match Netstack.Tcp.listen server.Workloads.Host.tcp ~port:4006 with
+        | Ok l -> l
+        | Error _ -> Alcotest.fail "listen"
+      in
+      let n = 512 * 1024 in
+      let data = Bytes.init n (fun i -> Char.chr ((i * 37) land 0xff)) in
+      let got = ref Bytes.empty and parked = ref 0 in
+      Sim.Engine.spawn duo.Setup.engine (fun () ->
+          let conn = Netstack.Tcp.accept listener in
+          (* Let loaned views pile up in the socket buffer before the
+             application reads (and so releases) any of them. *)
+          Sim.Engine.sleep (Sim.Time.ms 2);
+          parked := Gm.outstanding_loans m2;
+          got := Netstack.Tcp.recv_exact conn n);
+      (match
+         Netstack.Tcp.connect client.Workloads.Host.tcp ~dst:duo.Setup.server_ip
+           ~dst_port:4006 ()
+       with
+      | Ok conn -> Netstack.Tcp.send conn data
+      | Error _ -> Alcotest.fail "connect");
+      Sim.Engine.sleep (Sim.Time.ms 50);
+      let rx = Gm.stats m2 in
+      Alcotest.(check bool) "jumbos delivered" true (rx.Gm.jumbo_rx > 1);
+      Alcotest.(check bool) "some jumbos loaned" true (rx.Gm.loan_rx > 0);
+      Alcotest.(check bool) "credit exhaustion copied jumbos out" true
+        (rx.Gm.loan_credit_stalls > 0);
+      (* A jumbo is loaned only when the credit covers all its chunks. *)
+      Alcotest.(check bool) "parked views within the credit" true
+        (!parked > 0 && !parked <= 6);
+      Alcotest.(check bool) "stream byte-identical" true (Bytes.equal data !got);
+      Alcotest.(check int) "every borrow returned" rx.Gm.loan_rx
+        rx.Gm.loan_returns;
+      Alcotest.(check int) "no loans outstanding" 0 (Gm.outstanding_loans m2))
+
 (* ------------------------------------------------------------------ *)
 (* Teardown force-returns leaked loans *)
 
@@ -303,6 +350,8 @@ let suites =
           test_view_release_idempotent;
         Alcotest.test_case "credit exhaustion degrades to copy-out" `Quick
           test_credit_exhaustion_transparent_copyout;
+        Alcotest.test_case "jumbo credit exhaustion copies out" `Quick
+          test_jumbo_credit_exhaustion_copyout;
         Alcotest.test_case "loans-off world uses copy-out" `Quick
           test_loans_disabled_world_uses_copyout;
         Alcotest.test_case "teardown force-returns leaked loans" `Quick

@@ -323,41 +323,121 @@ let test_slot_starvation_degrades_to_inline () =
            0
            (Gm.queue_stats m1 ~domid:2)))
 
-let test_stranded_descriptor_teardown_reclaim () =
-  (* Large app payloads ride descriptors; pin the receiver and unload the
-     sender while descriptor entries still sit in the out-FIFOs.  Teardown
-     must resolve each stranded descriptor from the sender's own tx pool,
-     flush the bytes via the standard path, and release every channel page
-     — pools included. *)
+(* The two kinds of pool-backed entry a sender can strand: app
+   descriptors (one slot each) and TCP jumbo descriptors (a scatter
+   vector over several slots). *)
+type stranded = App_descriptors | Tcp_jumbos
+
+let stranded_teardown_reclaim kind () =
+  (* Pin the receiver and unload the sender while pool-backed entries
+     still sit in the out-FIFOs.  Teardown must resolve each stranded
+     entry from the sender's own tx pool, flush the bytes via the
+     standard path exactly once, and release every channel page — pools
+     included. *)
   let duo = Setup.build Setup.Xenloop_path in
   let m1, m2 = modules_of duo in
   let machine = Option.get duo.Setup.machine in
   let frames = Hypervisor.Machine.frame_allocator machine in
   Experiment.execute duo (fun () ->
-      let received = ref [] in
-      Gm.set_app_payload_handler m2 (fun ~src_ip:_ ~src_port:_ ~dst_port:_ payload ->
-          received := int_of_string (String.sub (Bytes.to_string payload) 0 4) :: !received);
-      Sim.Engine.spawn duo.Setup.engine (fun () ->
-          Sim.Resource.use
-            (Stack.cpu duo.Setup.server.Scenarios.Endpoint.stack)
-            (Sim.Time.ms 5));
-      let n = 40 in
-      for seq = 0 to n - 1 do
-        let payload =
-          Bytes.of_string (Printf.sprintf "%04d%s" seq (String.make 996 'p'))
-        in
-        Alcotest.(check bool) "payload accepted" true
-          (Gm.send_app_payload m1 ~dst_ip:duo.Setup.server_ip ~src_port:5001
-             ~dst_port:6001 payload)
-      done;
-      Alcotest.(check bool) "descriptors in flight" true
-        ((Gm.stats m1).Gm.desc_tx > 0);
-      Alcotest.(check int) "receiver has consumed nothing yet" 0
-        (List.length !received);
-      Gm.unload m1;
-      Sim.Engine.sleep (Sim.Time.ms 10);
-      Alcotest.(check (list int)) "every payload delivered exactly once, in order"
-        (List.init n Fun.id) (List.rev !received);
+      let pin_server () =
+        Sim.Engine.spawn duo.Setup.engine (fun () ->
+            Sim.Resource.use
+              (Stack.cpu duo.Setup.server.Scenarios.Endpoint.stack)
+              (Sim.Time.ms 5))
+      in
+      (match kind with
+      | App_descriptors ->
+          let received = ref [] in
+          Gm.set_app_payload_handler m2 (fun ~src_ip:_ ~src_port:_ ~dst_port:_ payload ->
+              received := int_of_string (String.sub (Bytes.to_string payload) 0 4) :: !received);
+          pin_server ();
+          let n = 40 in
+          for seq = 0 to n - 1 do
+            let payload =
+              Bytes.of_string (Printf.sprintf "%04d%s" seq (String.make 996 'p'))
+            in
+            Alcotest.(check bool) "payload accepted" true
+              (Gm.send_app_payload m1 ~dst_ip:duo.Setup.server_ip ~src_port:5001
+                 ~dst_port:6001 payload)
+          done;
+          Alcotest.(check bool) "descriptors in flight" true
+            ((Gm.stats m1).Gm.desc_tx > 0);
+          Alcotest.(check int) "receiver has consumed nothing yet" 0
+            (List.length !received);
+          Gm.unload m1;
+          Sim.Engine.sleep (Sim.Time.ms 10);
+          Alcotest.(check (list int)) "every payload delivered exactly once, in order"
+            (List.init n Fun.id) (List.rev !received)
+      | Tcp_jumbos ->
+          let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+          let listener =
+            match Netstack.Tcp.listen server.Workloads.Host.tcp ~port:925 with
+            | Ok l -> l
+            | Error _ -> Alcotest.fail "listen"
+          in
+          let conn =
+            match
+              Netstack.Tcp.connect client.Workloads.Host.tcp ~dst:duo.Setup.server_ip
+                ~dst_port:925 ()
+            with
+            | Ok c -> c
+            | Error _ -> Alcotest.fail "connect"
+          in
+          let n = 256 * 1024 in
+          let data = Bytes.init n (fun i -> Char.chr ((i * 29) land 0xff)) in
+          let got = ref Bytes.empty in
+          Sim.Engine.spawn duo.Setup.engine (fun () ->
+              let c = Netstack.Tcp.accept listener in
+              got := Netstack.Tcp.recv_exact c n);
+          (* The server's netfront, where the reclaimed jumbos land. *)
+          let cap =
+            Netstack.Capture.attach ~engine:duo.Setup.engine
+              (Option.get (Stack.device duo.Setup.server.Scenarios.Endpoint.stack))
+          in
+          pin_server ();
+          Sim.Engine.spawn duo.Setup.engine (fun () -> Netstack.Tcp.send conn data);
+          Sim.Engine.sleep (Sim.Time.ms 1);
+          Alcotest.(check bool) "jumbos in flight" true ((Gm.stats m1).Gm.jumbo_tx > 1);
+          Alcotest.(check int) "receiver has consumed none yet" 0
+            (Gm.stats m2).Gm.jumbo_rx;
+          Gm.unload m1;
+          (* Shorter than TCP's 200 ms initial retransmission timeout, so
+             every byte below arrived without a retransmission. *)
+          Sim.Engine.sleep (Sim.Time.ms 100);
+          Alcotest.(check bool) "stream byte-identical" true (Bytes.equal data !got);
+          Alcotest.(check int) "no jumbo was consumed from the dead channel" 0
+            (Gm.stats m2).Gm.jumbo_rx;
+          (* Exactly once: no sequence range crossed netfront twice. *)
+          let ranges =
+            List.filter_map
+              (fun r ->
+                match r.Netstack.Capture.packet.Netcore.Packet.body with
+                | Netcore.Packet.Ipv4_body
+                    {
+                      content =
+                        Netcore.Packet.Full
+                          { transport = Netcore.Transport.Tcp h; payload };
+                      _;
+                    }
+                  when r.Netstack.Capture.dir = Netstack.Capture.Rx
+                       && Bytes.length payload > 0 ->
+                    Some (h.Netcore.Transport.seq, Bytes.length payload)
+                | _ -> None)
+              (Netstack.Capture.records cap)
+          in
+          let base = match ranges with (seq, _) :: _ -> seq | [] -> 0l in
+          let offsets =
+            List.sort compare
+              (List.map (fun (seq, len) -> (Netstack.Tcp.seq_diff seq base, len)) ranges)
+          in
+          Alcotest.(check bool) "netfront carried data" true (offsets <> []);
+          ignore
+            (List.fold_left
+               (fun next (off, len) ->
+                 if off < next then
+                   Alcotest.failf "bytes %d..%d crossed netfront twice" off next;
+                 off + len)
+               min_int offsets));
       Alcotest.(check (list int)) "peer disengaged" [] (Gm.connected_peer_ids m2);
       (* Page balance: FIFO pages, pool control pages, and pool data pages
          all go home — on both sides. *)
@@ -488,7 +568,9 @@ let suites =
         Alcotest.test_case "slot starvation degrades to inline" `Quick
           test_slot_starvation_degrades_to_inline;
         Alcotest.test_case "stranded descriptor teardown reclaim" `Quick
-          test_stranded_descriptor_teardown_reclaim;
+          (stranded_teardown_reclaim App_descriptors);
+        Alcotest.test_case "stranded jumbo teardown reclaim" `Quick
+          (stranded_teardown_reclaim Tcp_jumbos);
         Alcotest.test_case "migration with descriptors in flight" `Slow
           test_migration_with_descriptors_in_flight;
       ] );
