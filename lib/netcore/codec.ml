@@ -56,11 +56,24 @@ let transport_header_length = function
 let transport_length transport ~payload =
   transport_header_length transport + Bytes.length payload
 
-(* --- Readers (cursor over bytes) --- *)
+(* --- Readers ---
+
+   A read cursor over one frame of [limit] bytes.  Headers are read from
+   [data], which holds either the whole frame or a prefix covering every
+   header byte ({!header_room}); the one copy a parse makes, of the
+   payload (or fragment blob, or control body), comes out of [data] in
+   place or, for a frame still scattered across pool slots, through
+   [scatter src_off dst], which fills [dst] from frame offset [src_off].
+   So a parse copies each payload byte once and never copies a header. *)
 
 exception Short
 
-type cursor = { data : Bytes.t; mutable pos : int }
+type cursor = {
+  data : Bytes.t;
+  limit : int;
+  scatter : (int -> Bytes.t -> unit) option;
+  mutable pos : int;
+}
 
 let r8 c =
   if c.pos >= Bytes.length c.data then raise Short;
@@ -86,12 +99,19 @@ let rmac c =
 let rip c = Ip.of_int32 (r32 c)
 
 let rbytes c len =
-  if len < 0 || c.pos + len > Bytes.length c.data then raise Short;
-  let b = Bytes.sub c.data c.pos len in
+  if len < 0 || c.pos + len > c.limit then raise Short;
+  let b =
+    match c.scatter with
+    | None -> Bytes.sub c.data c.pos len
+    | Some fill ->
+        let b = Bytes.create len in
+        fill c.pos b;
+        b
+  in
   c.pos <- c.pos + len;
   b
 
-let remaining c = Bytes.length c.data - c.pos
+let remaining c = c.limit - c.pos
 
 (* --- Transport --- *)
 
@@ -161,59 +181,61 @@ let serialize_transport ?(csum = true) transport ~payload =
   write_transport ~csum w transport ~payload;
   w.wdata
 
+(* Parse the transport header at the cursor, in place; the transport
+   segment runs to the end of the frame.  Only the payload is copied. *)
+let parse_transport_at ~verify protocol c =
+  let start = c.pos in
+  let seg_len = remaining c in
+  if verify && not (Checksum.verify c.data ~off:start ~len:seg_len) then
+    Error (Bad_checksum "transport")
+  else
+    match
+      match protocol with
+      | Ipv4.Icmp ->
+          let ty = r8 c in
+          let _code = r8 c in
+          let _cksum = r16 c in
+          let icmp_ident = r16 c in
+          let icmp_seq = r16 c in
+          let echo_kind =
+            match ty with
+            | 8 -> `Request
+            | 0 -> `Reply
+            | _ -> raise Exit
+          in
+          Transport.Icmp { echo_kind; icmp_ident; icmp_seq }
+      | Ipv4.Udp ->
+          let udp_src_port = r16 c in
+          let udp_dst_port = r16 c in
+          let len = r16 c in
+          let _cksum = r16 c in
+          if len <> seg_len then raise Exit;
+          Transport.Udp { udp_src_port; udp_dst_port }
+      | Ipv4.Tcp ->
+          let tcp_src_port = r16 c in
+          let tcp_dst_port = r16 c in
+          let seq = r32 c in
+          let ack_seq = r32 c in
+          let off_flags = r16 c in
+          let window = r16 c in
+          let _cksum = r16 c in
+          let _urgent = r16 c in
+          Transport.Tcp
+            {
+              tcp_src_port;
+              tcp_dst_port;
+              seq;
+              ack_seq;
+              flags = tcp_flags_of_bits (off_flags land 0x3F);
+              window;
+            }
+    with
+    | exception Exit -> Error (Malformed "transport header")
+    | transport -> Ok (transport, rbytes c (remaining c))
+
 let parse_transport ?(verify = true) protocol blob =
-  let c = { data = blob; pos = 0 } in
-  try
-    if verify && not (Checksum.verify blob ~off:0 ~len:(Bytes.length blob)) then
-      Error (Bad_checksum "transport")
-    else begin
-      let transport =
-        match protocol with
-        | Ipv4.Icmp ->
-            let ty = r8 c in
-            let _code = r8 c in
-            let _cksum = r16 c in
-            let icmp_ident = r16 c in
-            let icmp_seq = r16 c in
-            let echo_kind =
-              match ty with
-              | 8 -> `Request
-              | 0 -> `Reply
-              | _ -> raise Exit
-            in
-            Transport.Icmp { echo_kind; icmp_ident; icmp_seq }
-        | Ipv4.Udp ->
-            let udp_src_port = r16 c in
-            let udp_dst_port = r16 c in
-            let len = r16 c in
-            let _cksum = r16 c in
-            if len <> Bytes.length blob then raise Exit;
-            Transport.Udp { udp_src_port; udp_dst_port }
-        | Ipv4.Tcp ->
-            let tcp_src_port = r16 c in
-            let tcp_dst_port = r16 c in
-            let seq = r32 c in
-            let ack_seq = r32 c in
-            let off_flags = r16 c in
-            let window = r16 c in
-            let _cksum = r16 c in
-            let _urgent = r16 c in
-            Transport.Tcp
-              {
-                tcp_src_port;
-                tcp_dst_port;
-                seq;
-                ack_seq;
-                flags = tcp_flags_of_bits (off_flags land 0x3F);
-                window;
-              }
-      in
-      let payload = rbytes c (remaining c) in
-      Ok (transport, payload)
-    end
-  with
-  | Short -> Error Truncated
-  | Exit -> Error (Malformed "transport header")
+  let c = { data = blob; limit = Bytes.length blob; scatter = None; pos = 0 } in
+  try parse_transport_at ~verify protocol c with Short -> Error Truncated
 
 (* --- IPv4 --- *)
 
@@ -268,11 +290,12 @@ let parse_ipv4 ?(verify_transport = true) c =
                 ttl;
               }
             in
-            let blob = rbytes c content_len in
             if Ipv4.is_fragment header then
-              Ok (Packet.Ipv4_body { header; content = Packet.Fragment blob })
+              Ok
+                (Packet.Ipv4_body
+                   { header; content = Packet.Fragment (rbytes c content_len) })
             else
-              match parse_transport ~verify:verify_transport protocol blob with
+              match parse_transport_at ~verify:verify_transport protocol c with
               | Error e -> Error e
               | Ok (transport, payload) ->
                   Ok
@@ -353,8 +376,7 @@ let serialize ?(csum = true) (p : Packet.t) =
       wbytes w data);
   w.wdata
 
-let parse ?(verify_transport = true) data =
-  let c = { data; pos = 0 } in
+let parse_cursor ~verify_transport c =
   try
     let dst_mac = rmac c in
     let src_mac = rmac c in
@@ -371,3 +393,17 @@ let parse ?(verify_transport = true) data =
     in
     Result.map (fun body -> { Packet.src_mac; dst_mac; body }) body
   with Short -> Error Truncated
+
+let parse ?(verify_transport = true) data =
+  parse_cursor ~verify_transport
+    { data; limit = Bytes.length data; scatter = None; pos = 0 }
+
+(* Ethernet + IPv4 + TCP, the longest header stack a frame carries; ARP
+   (14 + 28) and the control header (14 + 2) are shorter. *)
+let header_room = ethernet_header_length + Ipv4.header_length + 20
+
+let parse_scattered ~len ~prefix ~fill =
+  if Bytes.length prefix <> min len header_room then
+    invalid_arg "Codec.parse_scattered: prefix length";
+  parse_cursor ~verify_transport:false
+    { data = prefix; limit = len; scatter = Some fill; pos = 0 }

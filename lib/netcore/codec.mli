@@ -29,6 +29,25 @@ val parse : ?verify_transport:bool -> Bytes.t -> (Packet.t, error) result
     a channel whose descriptor carries the [csum_ok] flag); IPv4 header
     checksums are still verified. *)
 
+val header_room : int
+(** Bytes of header in front of the payload in the longest header stack
+    (Ethernet + IPv4 + TCP, 54 bytes). *)
+
+val parse_scattered :
+  len:int ->
+  prefix:Bytes.t ->
+  fill:(int -> Bytes.t -> unit) ->
+  (Packet.t, error) result
+(** [parse ~verify_transport:false] of a [len]-byte frame that is not in
+    one buffer: [prefix] holds its first [min len header_room] bytes,
+    which carry every header, and [fill off dst] must fill [dst] with the
+    frame's bytes from offset [off] on.  [fill] is called at most once,
+    for the payload (or fragment blob, or control body), so the frame is
+    never assembled: each payload byte is copied once, straight into the
+    packet.  Same result and same errors as [parse ~verify_transport:false]
+    on the assembled frame.
+    @raise Invalid_argument if [prefix] has the wrong length. *)
+
 (** {1 Transport blobs}
 
     IP fragmentation slices the serialized transport-header+payload blob;

@@ -249,32 +249,31 @@ let append_data c ?release payload =
   c.recv_buffered <- c.recv_buffered + Bytes.length payload;
   c.received_bytes <- c.received_bytes + Bytes.length payload
 
-let take_data c max =
-  let buf = Buffer.create (min max c.recv_buffered) in
-  let rec fill () =
-    if Buffer.length buf < max && not (Queue.is_empty c.recv_chunks) then begin
-      let head, head_release = Queue.peek c.recv_chunks in
-      let available = Bytes.length head - c.head_offset in
-      let want = max - Buffer.length buf in
-      if available <= want then begin
-        Buffer.add_subbytes buf head c.head_offset available;
-        ignore (Queue.pop c.recv_chunks);
-        (* Chunk fully drained into the app's buffer: the borrow ends —
-           the recv copy is the same one the private-buffer path pays. *)
-        (match head_release with Some r -> r ~copied:false | None -> ());
-        c.head_offset <- 0;
-        fill ()
-      end
-      else begin
-        Buffer.add_subbytes buf head c.head_offset want;
-        c.head_offset <- c.head_offset + want
-      end
+(* Drain up to [max] buffered bytes into [dst] at [dst_off]; returns the
+   count.  This blit is the socket's one receive copy. *)
+let take_into c dst dst_off max =
+  let taken = ref 0 in
+  while !taken < max && not (Queue.is_empty c.recv_chunks) do
+    let head, head_release = Queue.peek c.recv_chunks in
+    let available = Bytes.length head - c.head_offset in
+    let want = max - !taken in
+    if available <= want then begin
+      Bytes.blit head c.head_offset dst (dst_off + !taken) available;
+      taken := !taken + available;
+      ignore (Queue.pop c.recv_chunks);
+      (* Chunk fully drained into the app's buffer: the borrow ends —
+         the recv copy is the same one the private-buffer path pays. *)
+      (match head_release with Some r -> r ~copied:false | None -> ());
+      c.head_offset <- 0
     end
-  in
-  fill ();
-  let taken = Buffer.length buf in
-  c.recv_buffered <- c.recv_buffered - taken;
-  Buffer.to_bytes buf
+    else begin
+      Bytes.blit head c.head_offset dst (dst_off + !taken) want;
+      taken := max;
+      c.head_offset <- c.head_offset + want
+    end
+  done;
+  c.recv_buffered <- c.recv_buffered - !taken;
+  !taken
 
 (* --- Connection cleanup --- *)
 
@@ -682,7 +681,9 @@ let send c data =
     end
   done
 
-let recv c ~max =
+(* [recv] with the drain left to [take], which runs once, after the
+   wait, when at least one byte is buffered; [eof] at end-of-stream. *)
+let recv_with c ~eof take =
   let p = params c in
   Sim.Resource.use (cpu c) p.Hypervisor.Params.syscall;
   let blocked = ref false in
@@ -691,24 +692,31 @@ let recv c ~max =
     Sim.Condition.await c.data_arrived
   done;
   if !blocked then Sim.Resource.use (cpu c) p.Hypervisor.Params.app_wakeup;
-  if c.recv_buffered = 0 then Bytes.empty
+  if c.recv_buffered = 0 then eof
   else begin
     let window_before = current_window c in
-    let data = take_data c max in
+    let data = take () in
     (* Window-update ACK if the drain reopened a nearly-closed window. *)
     if window_before < c.conn_mss && current_window c >= c.conn_mss then
       send_pure_ack c;
     data
   end
 
+let recv c ~max =
+  recv_with c ~eof:Bytes.empty (fun () ->
+      let buf = Bytes.create (Stdlib.max 0 (min max c.recv_buffered)) in
+      ignore (take_into c buf 0 max);
+      buf)
+
 let recv_exact c n =
-  let buf = Buffer.create n in
-  while Buffer.length buf < n do
-    let chunk = recv c ~max:(n - Buffer.length buf) in
-    if Bytes.length chunk = 0 then raise (Tcp_error Closed);
-    Buffer.add_bytes buf chunk
+  let buf = Bytes.create n in
+  let got = ref 0 in
+  while !got < n do
+    let k = recv_with c ~eof:0 (fun () -> take_into c buf !got (n - !got)) in
+    if k = 0 then raise (Tcp_error Closed);
+    got := !got + k
   done;
-  Buffer.to_bytes buf
+  buf
 
 let close c =
   if not c.fin_sent && c.state <> Conn_closed then begin

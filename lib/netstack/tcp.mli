@@ -54,7 +54,8 @@ val recv : conn -> max:int -> Bytes.t
 (** Blocking; returns 1..max bytes, or the empty string at end-of-stream. *)
 
 val recv_exact : conn -> int -> Bytes.t
-(** Loop {!recv} until exactly [n] bytes arrive.
+(** Loop {!recv} until exactly [n] bytes arrive.  The bytes are copied
+    once, straight into the [n]-byte result.
     @raise Tcp_error [Closed] if the stream ends first. *)
 
 val close : conn -> unit

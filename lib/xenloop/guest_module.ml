@@ -1087,16 +1087,31 @@ let chunks_valid pool e =
   | Fifo.Desc _ when not ok -> raise Corrupt_channel
   | Fifo.Desc _ | Fifo.Jumbo _ | Fifo.Inline _ -> ok
 
+(* Copy [len] bytes of a (validated) entry's frame, from frame offset
+   [src_off] on, out of [pool] into [dst] at [dst_off]. *)
+let read_frame pool e ~src_off ~dst ~dst_off ~len =
+  let chunk_start = ref 0 and i = ref 0 in
+  let from = ref src_off and d = ref dst_off and left = ref len in
+  while !left > 0 do
+    let clen = chunk_len e !i in
+    if !from < !chunk_start + clen then begin
+      let within = !from - !chunk_start in
+      let n = min !left (clen - within) in
+      Payload_pool.read_into pool ~slot:(chunk_slot e !i)
+        ~off:(chunk_off e + within) ~len:n ~dst ~dst_off:!d;
+      from := !from + n;
+      d := !d + n;
+      left := !left - n
+    end;
+    chunk_start := !chunk_start + clen;
+    incr i
+  done
+
 (* Copy a (validated) entry's payload out of [pool] as one frame. *)
 let gather pool e =
-  let raw = Bytes.create (entry_len e) in
-  let at = ref 0 in
-  for i = 0 to chunk_count e - 1 do
-    let len = chunk_len e i in
-    Payload_pool.read_into pool ~slot:(chunk_slot e i) ~off:(chunk_off e) ~len
-      ~dst:raw ~dst_off:!at;
-    at := !at + len
-  done;
+  let len = entry_len e in
+  let raw = Bytes.create len in
+  read_frame pool e ~src_off:0 ~dst:raw ~dst_off:0 ~len;
   raw
 
 let free_chunks pool e =
@@ -1161,27 +1176,38 @@ let make_release t q pool e ~len =
       fun ~copied:_ -> ()
   | Loan_delay d -> fun ~copied -> Sim.Engine.after (engine t) d (fun () -> finish ~copied)
 
-(* Parse a received frame and count it.  Only a frame the sender did not
-   vouch for with [flag_csum_ok] (trusted-channel checksum elision,
-   DESIGN.md §15) gets its transport checksum verified.  An individual
-   frame that fails to parse is dropped; the FIFO framing itself is still
-   sound. *)
-let parse_rx t e raw ~flags =
-  match
-    (* Literal arguments only: a computed optional would allocate per frame. *)
-    if flags land Fifo.flag_csum_ok = 0 then Netcore.Codec.parse raw
-    else Netcore.Codec.parse ~verify_transport:false raw
-  with
-  | Ok _ as ok ->
+(* Count a received frame that parsed.  An individual frame that fails
+   to parse is dropped; the FIFO framing itself is still sound. *)
+let count_rx t e parsed =
+  (match parsed with
+  | Ok _ ->
       (match e with Fifo.Jumbo _ -> t.s.jumbo_rx <- t.s.jumbo_rx + 1 | _ -> ());
-      t.s.via_channel_rx <- t.s.via_channel_rx + 1;
-      ok
-  | Error _ as err -> err
+      t.s.via_channel_rx <- t.s.via_channel_rx + 1
+  | Error _ -> ());
+  parsed
 
-let inject t e raw ~flags =
-  match parse_rx t e raw ~flags with
+let inject t = function
   | Ok packet -> Stack.inject_rx t.stack packet
   | Error _ -> ()
+
+(* Parse a (validated) pool-backed entry straight out of the pool.  Only
+   a frame the sender did not vouch for with [flag_csum_ok]
+   (trusted-channel checksum elision, DESIGN.md §15) gets its transport
+   checksum verified, which needs the frame gathered into one buffer
+   first.  A vouched frame — every jumbo — is parsed where it lies: its
+   header prefix is read out of the pool and its payload chunks are
+   copied once, straight into the packet's payload (DESIGN.md §10). *)
+let parse_pooled t pool e ~flags =
+  count_rx t e
+    (if flags land Fifo.flag_csum_ok = 0 then Netcore.Codec.parse (gather pool e)
+     else begin
+       let len = entry_len e in
+       let prefix = Bytes.create (min len Netcore.Codec.header_room) in
+       read_frame pool e ~src_off:0 ~dst:prefix ~dst_off:0
+         ~len:(Bytes.length prefix);
+       Netcore.Codec.parse_scattered ~len ~prefix ~fill:(fun src_off dst ->
+           read_frame pool e ~src_off ~dst ~dst_off:0 ~len:(Bytes.length dst))
+     end)
 
 (* A [flag_app] descriptor: a socket-shortcut datagram living in the pool
    slot behind an 8-byte app header, delivered to the application layer
@@ -1241,17 +1267,17 @@ let receive_pooled t q pool e ~bookkeeping =
            free-ring return waits for the application's release — no copy
            charged, none recorded. *)
         loan_chunks t q pool e;
-        let raw = gather pool e in
+        let parsed = parse_pooled t pool e ~flags in
         let release = make_release t q pool e ~len in
-        match parse_rx t e raw ~flags with
+        match parsed with
         | Ok packet -> Stack.inject_rx_borrowed t.stack packet ~release
         | Error _ -> release ~copied:false
       end
       else begin
         note_copy_out t q len;
-        let raw = gather pool e in
+        let parsed = parse_pooled t pool e ~flags in
         free_chunks pool e;
-        inject t e raw ~flags
+        inject t parsed
       end
 
 let drain_incoming t q =
@@ -1279,7 +1305,7 @@ let drain_incoming t q =
             Sim.Resource.use (cpu t)
               (Sim.Time.span_add bookkeeping (Params.xenloop_copy_cost p len));
             record_copy t len;
-            inject t e raw ~flags:0
+            inject t (count_rx t e (Netcore.Codec.parse raw))
         | (Fifo.Desc _ | Fifo.Jumbo _), Some pool ->
             receive_pooled t q pool e ~bookkeeping
         | (Fifo.Desc _ | Fifo.Jumbo _), None ->

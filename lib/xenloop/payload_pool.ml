@@ -230,26 +230,8 @@ let write_from t ~slot ~src ~src_off ~len =
 
 let write t ~slot ~src ~len = write_from t ~slot ~src ~src_off:0 ~len
 
-let read t ~slot ~off ~len =
-  check_span t ~what:"read" ~slot ~off ~len;
-  let dst = Bytes.create len in
-  let base = slot * t.p_slot_pages in
-  let rec go at dst_off len =
-    if len > 0 then begin
-      let page = t.data.(base + (at / Page.size)) in
-      let page_off = at mod Page.size in
-      let chunk = min len (Page.size - page_off) in
-      Page.read page ~off:page_off ~dst ~dst_off ~len:chunk;
-      go (at + chunk) (dst_off + chunk) (len - chunk)
-    end
-  in
-  go off 0 len;
-  dst
-
-(* Zero-alloc variant for the busy-poll receive loop: same walk as [read]
-   but into a caller-owned scratch buffer. *)
 let read_into t ~slot ~off ~len ~dst ~dst_off =
-  check_span t ~what:"read_into" ~slot ~off ~len;
+  check_span t ~what:"read" ~slot ~off ~len;
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Payload_pool.read_into: out of dst bounds";
   let base = slot * t.p_slot_pages in
@@ -263,6 +245,13 @@ let read_into t ~slot ~off ~len ~dst ~dst_off =
     d := !d + chunk;
     left := !left - chunk
   done
+
+(* The clamp only keeps a bad [len] from allocating; [read_into]'s span
+   check rejects it. *)
+let read t ~slot ~off ~len =
+  let dst = Bytes.create (max 0 (min len (slot_bytes t))) in
+  read_into t ~slot ~off ~len ~dst ~dst_off:0;
+  dst
 
 let sanity t =
   (* Slot conservation over the shared free ring: the live window

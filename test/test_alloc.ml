@@ -140,6 +140,44 @@ let test_engine_timer_fire_slack () =
   (* 5 words = the match_with fiber; +1 headroom. *)
   check_words "engine step, periodic timer fire" ~bound:6.0 per
 
+(* Host copy budget of the XenLoop bulk path (DESIGN.md §10).  Frames
+   of 64 KiB are far above the minor-heap size limit, so every host copy
+   of a byte is one direct major-heap allocation of it: direct major
+   words per delivered byte, times 8, counts the copies.  Four remain —
+   the sender's retransmit copy and serialized frame, the receiver's
+   payload read out of the pool slots and the socket's recv copy; 4.02
+   measured, the rest being per-connection and per-segment allocation.
+   A fifth copy (gathering a jumbo before parsing it, or parsing by way
+   of a copy of the IP content) lands above 5.  Promoted words are left
+   out, so when minor collections happen does not enter; the count is
+   deterministic. *)
+let test_xenloop_bulk_copy_budget () =
+  let duo = Scenarios.Setup.build Scenarios.Setup.Xenloop_path in
+  let host (ep : Scenarios.Endpoint.t) =
+    { Workloads.Host.stack = ep.Scenarios.Endpoint.stack; udp = ep.udp; tcp = ep.tcp }
+  in
+  let direct_major () =
+    (* The major-word count lags until the next minor collection. *)
+    Gc.minor ();
+    let st = Gc.quick_stat () in
+    st.Gc.major_words -. st.Gc.promoted_words
+  in
+  let words, delivered =
+    Scenarios.Experiment.execute duo (fun () ->
+        let before = direct_major () in
+        let r =
+          Workloads.Netperf.tcp_stream ~client:(host duo.Scenarios.Setup.client)
+            ~server:(host duo.Scenarios.Setup.server) ~dst:duo.Scenarios.Setup.server_ip
+            ~message_size:65536 ~total_bytes:(8 * 1024 * 1024) ()
+        in
+        (direct_major () -. before, r.Workloads.Netperf.bytes_received))
+  in
+  Alcotest.(check bool) "whole stream delivered" true (delivered >= 8 * 1024 * 1024);
+  let copies = words *. 8.0 /. float_of_int delivered in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f host copies per delivered byte (bound 4.5)" copies)
+    true (copies <= 4.5)
+
 let suites =
   [
     ( "sim.alloc",
@@ -153,5 +191,7 @@ let suites =
           test_engine_sleep_wake_slack;
         Alcotest.test_case "engine timer fire within fiber slack" `Quick
           test_engine_timer_fire_slack;
+        Alcotest.test_case "xenloop bulk stream within copy budget" `Quick
+          test_xenloop_bulk_copy_budget;
       ] );
   ]

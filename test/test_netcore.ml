@@ -342,6 +342,390 @@ let prop_csum_elision_fallback =
       | Error _ -> false
       | Ok p' -> Bytes.equal (Codec.serialize p') baseline)
 
+(* In-place parsing (one copy per payload byte) against the reference
+   it replaced: the two-copy parser below, kept verbatim in behaviour,
+   which copied the whole IP content out of the frame and then the
+   payload out of that copy.  Every frame — intact, truncated or with a
+   flipped bit — must parse to the same packet or the same error under
+   both, with transport verification on and off, and through
+   [Codec.parse_scattered] as through [Codec.parse ~verify_transport:false]. *)
+module Two_copy_parser = struct
+  exception Short
+
+  type cursor = { data : Bytes.t; mutable pos : int }
+
+  let r8 c =
+    if c.pos >= Bytes.length c.data then raise Short;
+    let v = Bytes.get_uint8 c.data c.pos in
+    c.pos <- c.pos + 1;
+    v
+
+  let r16 c =
+    let hi = r8 c in
+    (hi lsl 8) lor r8 c
+
+  let r32 c =
+    let hi = r16 c in
+    Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int (r16 c))
+
+  let rmac c =
+    let v = ref 0L in
+    for _ = 1 to 6 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (r8 c))
+    done;
+    Mac.of_int64 !v
+
+  let rip c = Ip.of_int32 (r32 c)
+
+  let rbytes c len =
+    if len < 0 || c.pos + len > Bytes.length c.data then raise Short;
+    let b = Bytes.sub c.data c.pos len in
+    c.pos <- c.pos + len;
+    b
+
+  let remaining c = Bytes.length c.data - c.pos
+
+  let parse_transport ~verify protocol blob =
+    let c = { data = blob; pos = 0 } in
+    try
+      if verify && not (Checksum.verify blob ~off:0 ~len:(Bytes.length blob)) then
+        Error (Codec.Bad_checksum "transport")
+      else begin
+        let transport =
+          match protocol with
+          | Ipv4.Icmp ->
+              let ty = r8 c in
+              let _code = r8 c in
+              let _cksum = r16 c in
+              let icmp_ident = r16 c in
+              let icmp_seq = r16 c in
+              let echo_kind =
+                match ty with 8 -> `Request | 0 -> `Reply | _ -> raise Exit
+              in
+              Transport.Icmp { echo_kind; icmp_ident; icmp_seq }
+          | Ipv4.Udp ->
+              let udp_src_port = r16 c in
+              let udp_dst_port = r16 c in
+              let len = r16 c in
+              let _cksum = r16 c in
+              if len <> Bytes.length blob then raise Exit;
+              Transport.Udp { udp_src_port; udp_dst_port }
+          | Ipv4.Tcp ->
+              let tcp_src_port = r16 c in
+              let tcp_dst_port = r16 c in
+              let seq = r32 c in
+              let ack_seq = r32 c in
+              let off_flags = r16 c in
+              let window = r16 c in
+              let _cksum = r16 c in
+              let _urgent = r16 c in
+              let bits = off_flags land 0x3F in
+              Transport.Tcp
+                {
+                  tcp_src_port;
+                  tcp_dst_port;
+                  seq;
+                  ack_seq;
+                  flags =
+                    {
+                      Transport.fin = bits land 0x01 <> 0;
+                      syn = bits land 0x02 <> 0;
+                      rst = bits land 0x04 <> 0;
+                      psh = bits land 0x08 <> 0;
+                      ack = bits land 0x10 <> 0;
+                    };
+                  window;
+                }
+        in
+        Ok (transport, rbytes c (remaining c))
+      end
+    with
+    | Short -> Error Codec.Truncated
+    | Exit -> Error (Codec.Malformed "transport header")
+
+  let parse_ipv4 ~verify_transport c =
+    let start = c.pos in
+    let vihl = r8 c in
+    if vihl <> 0x45 then Error (Codec.Malformed "IPv4 version/IHL")
+    else begin
+      let _tos = r8 c in
+      let total_length = r16 c in
+      let ident = r16 c in
+      let flags_frag = r16 c in
+      let ttl = r8 c in
+      let proto = r8 c in
+      let _cksum = r16 c in
+      let src = rip c in
+      let dst = rip c in
+      if not (Checksum.verify c.data ~off:start ~len:Ipv4.header_length) then
+        Error (Codec.Bad_checksum "IPv4")
+      else
+        match Ipv4.protocol_of_number proto with
+        | None -> Error (Codec.Bad_protocol proto)
+        | Some protocol ->
+            let content_len = total_length - Ipv4.header_length in
+            if content_len <> remaining c then Error Codec.Truncated
+            else begin
+              let header : Ipv4.header =
+                {
+                  src;
+                  dst;
+                  protocol;
+                  ident;
+                  frag_offset = (flags_frag land 0x1FFF) * 8;
+                  more_fragments = flags_frag land 0x2000 <> 0;
+                  ttl;
+                }
+              in
+              let blob = rbytes c content_len in
+              if Ipv4.is_fragment header then
+                Ok (Packet.Ipv4_body { header; content = Packet.Fragment blob })
+              else
+                match parse_transport ~verify:verify_transport protocol blob with
+                | Error e -> Error e
+                | Ok (transport, payload) ->
+                    Ok
+                      (Packet.Ipv4_body
+                         { header; content = Packet.Full { transport; payload } })
+            end
+    end
+
+  let parse_arp c =
+    let htype = r16 c in
+    let ptype = r16 c in
+    let hlen = r8 c in
+    let plen = r8 c in
+    if htype <> 1 || ptype <> 0x0800 || hlen <> 6 || plen <> 4 then
+      Error (Codec.Malformed "ARP header")
+    else begin
+      let opn = r16 c in
+      let sender_mac = rmac c in
+      let sender_ip = rip c in
+      let target_mac = rmac c in
+      let target_ip = rip c in
+      match opn with
+      | 1 | 2 ->
+          let op = if opn = 1 then Arp.Request else Arp.Reply in
+          Ok
+            (Packet.Arp_body
+               { Arp.op; sender_mac; sender_ip; target_mac; target_ip })
+      | _ -> Error (Codec.Malformed "ARP op")
+    end
+
+  let parse ~verify_transport data =
+    let c = { data; pos = 0 } in
+    try
+      let dst_mac = rmac c in
+      let src_mac = rmac c in
+      let ethertype = r16 c in
+      let body =
+        match ethertype with
+        | 0x0800 -> parse_ipv4 ~verify_transport c
+        | 0x0806 -> parse_arp c
+        | 0x58D0 ->
+            let len = r16 c in
+            if len <> remaining c then Error Codec.Truncated
+            else Ok (Packet.Xenloop_body (rbytes c len))
+        | other -> Error (Codec.Bad_ethertype other)
+      in
+      Result.map (fun body -> { Packet.src_mac; dst_mac; body }) body
+    with Short -> Error Codec.Truncated
+end
+
+(* [Codec.parse_scattered] over [frame] cut into [chunk]-byte pieces, the
+   way a jumbo lies across pool slots: the fill walks the pieces. *)
+let parse_in_chunks ~chunk frame =
+  let len = Bytes.length frame in
+  let prefix = Bytes.sub frame 0 (min len Codec.header_room) in
+  let fill src_off dst =
+    let at = ref 0 in
+    while !at < Bytes.length dst do
+      let from = src_off + !at in
+      let n = min (Bytes.length dst - !at) (chunk - (from mod chunk)) in
+      Bytes.blit frame from dst !at n;
+      at := !at + n
+    done
+  in
+  Codec.parse_scattered ~len ~prefix ~fill
+
+let same_result a b =
+  match (a, b) with
+  | Ok p, Ok q -> Packet.equal p q
+  | Error e, Error f -> e = f
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* A payload up to the largest a jumbo carries (64 KiB less the IPv4 and
+   TCP headers), filled from a seed rather than byte by byte. *)
+let jumbo_payload_gen =
+  QCheck.Gen.(
+    let* len = frequency [ (1, 0 -- 64); (1, 0 -- 2000); (2, 0 -- 65495) ] in
+    let* seed = 0 -- 0xFFFF in
+    return (Bytes.init len (fun i -> Char.chr ((seed + (i * 131) + (i lsr 7)) land 0xFF))))
+
+let any_transport_packet_gen =
+  QCheck.Gen.(
+    let* sp = 0 -- 0xffff and* dp = 0 -- 0xffff and* ident = 0 -- 0xffff in
+    let* payload = jumbo_payload_gen in
+    let* seq = map Int32.of_int (0 -- 0x3FFFFFFF) in
+    let* bits = 0 -- 0x1F and* window = 0 -- 0xffff in
+    let* kind = 0 -- 2 and* reply = bool in
+    return
+      (match kind with
+      | 0 ->
+          let flags =
+            {
+              Transport.fin = bits land 1 <> 0;
+              syn = bits land 2 <> 0;
+              rst = bits land 4 <> 0;
+              psh = bits land 8 <> 0;
+              ack = bits land 16 <> 0;
+            }
+          in
+          Packet.tcp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b ~ident
+            ~header:
+              {
+                Transport.tcp_src_port = sp;
+                tcp_dst_port = dp;
+                seq;
+                ack_seq = Int32.of_int ident;
+                flags;
+                window;
+              }
+            payload
+      | 1 ->
+          Packet.udp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b
+            ~src_port:sp ~dst_port:dp ~ident payload
+      | _ ->
+          Packet.icmp_echo ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b
+            ~kind:(if reply then `Reply else `Request)
+            ~icmp_ident:sp ~icmp_seq:dp ~ident payload))
+
+let print_packet p = Format.asprintf "%a" Packet.pp p
+
+let prop_codec_jumbo_roundtrip =
+  QCheck.Test.make ~name:"in-place parse roundtrip up to jumbo size" ~count:150
+    (QCheck.make ~print:print_packet any_transport_packet_gen) (fun p ->
+      let full = Codec.serialize p and elided = Codec.serialize ~csum:false p in
+      let ok = function Ok q -> Packet.equal p q | Error _ -> false in
+      ok (Codec.parse full)
+      && ok (Codec.parse ~verify_transport:false full)
+      && ok (Codec.parse ~verify_transport:false elided)
+      && ok (parse_in_chunks ~chunk:4096 elided)
+      && ok (parse_in_chunks ~chunk:7 full))
+
+(* A damaged frame: cut short, or one bit flipped anywhere (the header
+   bytes, the transport header most, get their own share of the flips).
+   Fragments of a jumbo and ARP bodies ride along so every copy-out site
+   is hit. *)
+let damaged_frame_gen =
+  QCheck.Gen.(
+    let* p = any_transport_packet_gen in
+    let* csum = bool in
+    let* which = 0 -- 9 in
+    let packet =
+      match which with
+      | 8 -> (
+          match Netcore.Fragment.fragment ~mtu:1500 p with
+          | f :: _ -> f
+          | [] -> p)
+      | 9 ->
+          Packet.arp ~src_mac:mac_a ~dst_mac:Mac.broadcast
+            (Arp.request ~sender_mac:mac_a ~sender_ip:ip_a ~target_ip:ip_b)
+      | _ -> p
+    in
+    let frame = Codec.serialize ~csum packet in
+    let len = Bytes.length frame in
+    let* cut = bool in
+    if cut then
+      let* keep = 0 -- (len - 1) in
+      return (Bytes.sub frame 0 keep)
+    else
+      let* pos =
+        frequency
+          [
+            (1, 0 -- (len - 1));
+            (1, 0 -- (min len Codec.header_room - 1));
+            (2, min (len - 1) 34 -- (min len Codec.header_room - 1));
+          ]
+      in
+      let* bit = 0 -- 7 in
+      Bytes.set_uint8 frame pos (Bytes.get_uint8 frame pos lxor (1 lsl bit));
+      return frame)
+
+let prop_codec_damage_matches_two_copy =
+  QCheck.Test.make ~name:"damaged frames: same error as the two-copy parser"
+    ~count:300
+    (QCheck.make
+       ~print:(fun b -> Printf.sprintf "%d-byte frame" (Bytes.length b))
+       damaged_frame_gen)
+    (fun frame ->
+      let reference v = Two_copy_parser.parse ~verify_transport:v frame in
+      same_result (Codec.parse frame) (reference true)
+      && same_result (Codec.parse ~verify_transport:false frame) (reference false)
+      && same_result (parse_in_chunks ~chunk:4096 frame) (reference false)
+      && same_result (parse_in_chunks ~chunk:5 frame) (reference false))
+
+(* The same comparison made exhaustive over small frames of every kind:
+   every truncation and every single-bit flip. *)
+let test_codec_every_damage_matches_two_copy () =
+  let payload = Bytes.of_string "in place" in
+  let header =
+    {
+      Transport.tcp_src_port = 1;
+      tcp_dst_port = 2;
+      seq = 3l;
+      ack_seq = 4l;
+      flags = { Transport.no_flags with ack = true; psh = true };
+      window = 5;
+    }
+  in
+  let big =
+    Packet.udp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b ~src_port:7
+      ~dst_port:8 (Bytes.make 3000 'f')
+  in
+  let packets =
+    [
+      Packet.tcp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b ~header payload;
+      Packet.udp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b ~src_port:7
+        ~dst_port:8 payload;
+      Packet.icmp_echo ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b
+        ~kind:`Reply ~icmp_ident:9 ~icmp_seq:10 payload;
+      List.nth (Fragment.fragment ~mtu:1500 big) 1;
+      Packet.arp ~src_mac:mac_a ~dst_mac:Mac.broadcast
+        (Arp.request ~sender_mac:mac_a ~sender_ip:ip_a ~target_ip:ip_b);
+      Packet.xenloop_ctrl ~src_mac:mac_a ~dst_mac:mac_b payload;
+    ]
+  in
+  let check frame what =
+    let reference v = Two_copy_parser.parse ~verify_transport:v frame in
+    if
+      not
+        (same_result (Codec.parse frame) (reference true)
+        && same_result (Codec.parse ~verify_transport:false frame) (reference false)
+        && same_result (parse_in_chunks ~chunk:3 frame) (reference false))
+    then Alcotest.failf "%s: differs from the two-copy parser" what
+  in
+  List.iteri
+    (fun k p ->
+      List.iter
+        (fun csum ->
+          let frame = Codec.serialize ~csum p in
+          let len = Bytes.length frame in
+          for keep = 0 to len - 1 do
+            check (Bytes.sub frame 0 keep)
+              (Printf.sprintf "packet %d csum %b cut to %d" k csum keep)
+          done;
+          for pos = 0 to min len 80 - 1 do
+            for bit = 0 to 7 do
+              let damaged = Bytes.copy frame in
+              Bytes.set_uint8 damaged pos (Bytes.get_uint8 frame pos lxor (1 lsl bit));
+              check damaged
+                (Printf.sprintf "packet %d csum %b bit %d of byte %d" k csum bit pos)
+            done
+          done)
+        [ true; false ])
+    packets
+
 let prop_mac_string_roundtrip =
   QCheck.Test.make ~name:"mac to_string/of_string roundtrip" ~count:200
     QCheck.(map Int64.of_int int)
@@ -529,12 +913,16 @@ let suites =
         Alcotest.test_case "rejects corruption" `Quick test_codec_rejects_corruption;
         Alcotest.test_case "rejects truncation" `Quick test_codec_truncated;
         Alcotest.test_case "rejects unknown ethertype" `Quick test_codec_bad_ethertype;
+        Alcotest.test_case "every damage matches two-copy parser" `Quick
+          test_codec_every_damage_matches_two_copy;
       ]
       @ qsuite
           [
             prop_codec_roundtrip;
             prop_codec_tcp_roundtrip;
             prop_csum_elision_fallback;
+            prop_codec_jumbo_roundtrip;
+            prop_codec_damage_matches_two_copy;
           ] );
     ( "netcore.fragment",
       [
