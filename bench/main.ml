@@ -14,6 +14,7 @@ module Gm = Xenloop.Guest_module
 module Steering = Xenloop.Steering
 module Host = Workloads.Host
 module Netperf = Workloads.Netperf
+module J = Sim.Json
 
 let fmt = Format.std_formatter
 
@@ -751,94 +752,11 @@ let baseline_params =
     xenloop_zerocopy = false;
   }
 
-type counters = {
-  c_delivered : int;
-  c_notifies_sent : int;
-  c_notifies_suppressed : int;
-  c_batches : int;
-  c_poll_rounds : int;
-  c_steered : int;
-  c_waiting_overflows : int;
-  c_desc_tx : int;
-  c_inline_tx : int;
-  c_pool_fallbacks : int;
-  c_loan_tx : int;
-  c_loan_rx : int;
-  c_loan_returns : int;
-  c_loan_credit_stalls : int;
-  c_jumbo_tx : int;
-  c_jumbo_rx : int;
-  c_jumbo_chunks_tx : int;
-  c_jumbo_drops : int;
-}
+(* Every XenLoop counter, summed over the given guests' modules; diff two
+   of these around a measured run to exclude warmup traffic. *)
+let module_totals modules = Sim.Counters.sum (List.map Gm.counters modules)
 
-let counters_of_modules modules =
-  List.fold_left
-    (fun acc m ->
-      let s = Gm.stats m in
-      {
-        c_delivered = acc.c_delivered + s.Gm.via_channel_rx;
-        c_notifies_sent = acc.c_notifies_sent + s.Gm.notifies_sent;
-        c_notifies_suppressed = acc.c_notifies_suppressed + s.Gm.notifies_suppressed;
-        c_batches = acc.c_batches + s.Gm.batches;
-        c_poll_rounds = acc.c_poll_rounds + s.Gm.poll_rounds;
-        c_steered = acc.c_steered + s.Gm.steered_packets;
-        c_waiting_overflows = acc.c_waiting_overflows + s.Gm.waiting_overflows;
-        c_desc_tx = acc.c_desc_tx + s.Gm.desc_tx;
-        c_inline_tx = acc.c_inline_tx + s.Gm.inline_tx;
-        c_pool_fallbacks = acc.c_pool_fallbacks + s.Gm.pool_fallbacks;
-        c_loan_tx = acc.c_loan_tx + s.Gm.loan_tx;
-        c_loan_rx = acc.c_loan_rx + s.Gm.loan_rx;
-        c_loan_returns = acc.c_loan_returns + s.Gm.loan_returns;
-        c_loan_credit_stalls = acc.c_loan_credit_stalls + s.Gm.loan_credit_stalls;
-        c_jumbo_tx = acc.c_jumbo_tx + s.Gm.jumbo_tx;
-        c_jumbo_rx = acc.c_jumbo_rx + s.Gm.jumbo_rx;
-        c_jumbo_chunks_tx = acc.c_jumbo_chunks_tx + s.Gm.jumbo_chunks_tx;
-        c_jumbo_drops = acc.c_jumbo_drops + s.Gm.jumbo_drops;
-      })
-    {
-      c_delivered = 0;
-      c_notifies_sent = 0;
-      c_notifies_suppressed = 0;
-      c_batches = 0;
-      c_poll_rounds = 0;
-      c_steered = 0;
-      c_waiting_overflows = 0;
-      c_desc_tx = 0;
-      c_inline_tx = 0;
-      c_pool_fallbacks = 0;
-      c_loan_tx = 0;
-      c_loan_rx = 0;
-      c_loan_returns = 0;
-      c_loan_credit_stalls = 0;
-      c_jumbo_tx = 0;
-      c_jumbo_rx = 0;
-      c_jumbo_chunks_tx = 0;
-      c_jumbo_drops = 0;
-    }
-    modules
-
-let sub_counters a b =
-  {
-    c_delivered = a.c_delivered - b.c_delivered;
-    c_notifies_sent = a.c_notifies_sent - b.c_notifies_sent;
-    c_notifies_suppressed = a.c_notifies_suppressed - b.c_notifies_suppressed;
-    c_batches = a.c_batches - b.c_batches;
-    c_poll_rounds = a.c_poll_rounds - b.c_poll_rounds;
-    c_steered = a.c_steered - b.c_steered;
-    c_waiting_overflows = a.c_waiting_overflows - b.c_waiting_overflows;
-    c_desc_tx = a.c_desc_tx - b.c_desc_tx;
-    c_inline_tx = a.c_inline_tx - b.c_inline_tx;
-    c_pool_fallbacks = a.c_pool_fallbacks - b.c_pool_fallbacks;
-    c_loan_tx = a.c_loan_tx - b.c_loan_tx;
-    c_loan_rx = a.c_loan_rx - b.c_loan_rx;
-    c_loan_returns = a.c_loan_returns - b.c_loan_returns;
-    c_loan_credit_stalls = a.c_loan_credit_stalls - b.c_loan_credit_stalls;
-    c_jumbo_tx = a.c_jumbo_tx - b.c_jumbo_tx;
-    c_jumbo_rx = a.c_jumbo_rx - b.c_jumbo_rx;
-    c_jumbo_chunks_tx = a.c_jumbo_chunks_tx - b.c_jumbo_chunks_tx;
-    c_jumbo_drops = a.c_jumbo_drops - b.c_jumbo_drops;
-  }
+let count = Sim.Counters.value
 
 type wl_result = {
   w_mbps : float option;
@@ -854,7 +772,7 @@ type wl_result = {
          rr workloads the byte basis is the 1 B request + 1 B response
          per transaction, so the number is dominated by per-packet fixed
          costs — which is the point of reporting it. *)
-  w_counters : counters;
+  w_counters : Sim.Counters.snapshot;
 }
 
 let nominal_hz = 1e9
@@ -874,7 +792,7 @@ let run_json_workload ~params ~smoke name =
   in_ctx ctx (fun { duo; client; server; dst } ->
       let busy = host_busy_meter [ client; server ] in
       let busy0 = busy () in
-      let before = counters_of_modules duo.Setup.modules in
+      let before = module_totals duo.Setup.modules in
       let w_mbps, w_latency_us, w_delivered_app =
         match name with
         | "udp_stream" ->
@@ -895,7 +813,6 @@ let run_json_workload ~params ~smoke name =
             (None, Some r.Netperf.avg_latency_us, r.Netperf.transactions)
         | _ -> invalid_arg "run_json_workload"
       in
-      let after = counters_of_modules duo.Setup.modules in
       let app_bytes =
         match name with
         | "udp_rr" | "tcp_rr" -> w_delivered_app * 2
@@ -906,7 +823,7 @@ let run_json_workload ~params ~smoke name =
         w_latency_us;
         w_delivered_app;
         w_cycles_per_byte = cycles_per_byte ~busy_s:(busy () -. busy0) ~bytes:app_bytes;
-        w_counters = sub_counters after before;
+        w_counters = Sim.Counters.diff (module_totals duo.Setup.modules) before;
       })
 
 (* ------------------------------------------------------------------ *)
@@ -924,9 +841,7 @@ type zc_point = {
   zp_delivered_app : int;
   zp_copied_bytes : int;
   zp_copies_per_byte : float;
-  zp_desc_tx : int;
-  zp_inline_tx : int;
-  zp_pool_fallbacks : int;
+  zp_counters : Sim.Counters.snapshot;  (* module counter deltas *)
   zp_grant_maps : int;  (* connect-time total, not per-packet *)
   zp_host_words_per_byte : float;
       (* the simulator's own direct major-heap words per delivered byte;
@@ -948,7 +863,7 @@ let run_zc_point ~params ~smoke ~workload size =
       (* Snapshots around the measured run: warmup (ARP, handshake, pool
          grant/map) happened before this point, so the copy delta is the
          data path's alone. *)
-      let before = counters_of_modules duo.Setup.modules in
+      let before = module_totals duo.Setup.modules in
       let copied0 = sum Memory.Cost_meter.bytes_copied in
       (* The major-word count lags until the next minor collection
          (OCaml 5.1); collect first so the reading is current. *)
@@ -971,8 +886,7 @@ let run_zc_point ~params ~smoke ~workload size =
             Netperf.tcp_stream ~client ~server ~dst ~message_size:size
               ~total_bytes:total ()
       in
-      let after = counters_of_modules duo.Setup.modules in
-      let c = sub_counters after before in
+      let c = Sim.Counters.diff (module_totals duo.Setup.modules) before in
       let copied = sum Memory.Cost_meter.bytes_copied - copied0 in
       let host_words = direct_major () -. major0 in
       let per_byte x =
@@ -985,9 +899,7 @@ let run_zc_point ~params ~smoke ~workload size =
         zp_delivered_app = r.Netperf.bytes_received;
         zp_copied_bytes = copied;
         zp_copies_per_byte = per_byte (float_of_int copied);
-        zp_desc_tx = c.c_desc_tx;
-        zp_inline_tx = c.c_inline_tx;
-        zp_pool_fallbacks = c.c_pool_fallbacks;
+        zp_counters = c;
         zp_grant_maps = sum Memory.Cost_meter.grant_maps;
         zp_host_words_per_byte = per_byte host_words;
       })
@@ -1025,8 +937,8 @@ type mixed_result = {
   mx_rr_transactions : int;
   mx_rr_avg_us : float;
   mx_rr_p99_us : float;
-  mx_counters : counters;
-  mx_queue_stats : Gm.queue_stat array;  (* client module, tx side *)
+  mx_counters : Sim.Counters.snapshot;
+  mx_queue_counters : Sim.Counters.snapshot array;  (* client module, tx side *)
 }
 
 let run_mixed ~params ~smoke () =
@@ -1042,7 +954,7 @@ let run_mixed ~params ~smoke () =
   let ctx = make_ctx ~params Setup.Xenloop_path in
   in_ctx ctx (fun { duo; client; server; dst } ->
       let engine = duo.Setup.engine in
-      let before = counters_of_modules duo.Setup.modules in
+      let before = module_totals duo.Setup.modules in
       let nq = params.Hypervisor.Params.xenloop_queues in
       let src = Netstack.Stack.ip_addr client.Host.stack in
       (* UDP steers on the 3-tuple, so the stream's queue is fixed by the
@@ -1096,11 +1008,11 @@ let run_mixed ~params ~smoke () =
         Sim.Condition.await done_cond
       done;
       let stream = Option.get !stream_res in
-      let after = counters_of_modules duo.Setup.modules in
+      let after = module_totals duo.Setup.modules in
       let client_module = List.hd duo.Setup.modules in
-      let mx_queue_stats =
+      let mx_queue_counters =
         match Gm.connected_peer_ids client_module with
-        | peer :: _ -> Gm.queue_stats client_module ~domid:peer
+        | peer :: _ -> Gm.queue_counters client_module ~domid:peer
         | [] -> [||]
       in
       {
@@ -1110,8 +1022,8 @@ let run_mixed ~params ~smoke () =
         mx_rr_transactions = rr.Netperf.transactions;
         mx_rr_avg_us = rr.Netperf.avg_latency_us;
         mx_rr_p99_us = rr.Netperf.p99_latency_us;
-        mx_counters = sub_counters after before;
-        mx_queue_stats;
+        mx_counters = Sim.Counters.diff after before;
+        mx_queue_counters;
       })
 
 (* ------------------------------------------------------------------ *)
@@ -1127,8 +1039,7 @@ type poll_point = {
   pp_transactions : int;
   pp_p50_us : float;
   pp_p99_us : float;
-  pp_poll_rounds : int;
-  pp_notifies_sent : int;
+  pp_counters : Sim.Counters.snapshot;
 }
 
 let run_poll_point ~smoke ~poll ~queues () =
@@ -1175,21 +1086,19 @@ let run_poll_point ~smoke ~poll ~queues () =
           done);
       (* Let the blast establish a standing backlog before sampling. *)
       Sim.Engine.sleep (Sim.Time.us 300);
-      let before = counters_of_modules duo.Setup.modules in
+      let before = module_totals duo.Setup.modules in
       let n = if smoke then 150 else 1500 in
       let r = Netperf.tcp_rr ~client ~server ~dst ~transactions:n () in
       stop := true;
       Sim.Engine.sleep (Sim.Time.ms 1);
-      let after = counters_of_modules duo.Setup.modules in
-      let c = sub_counters after before in
+      let c = Sim.Counters.diff (module_totals duo.Setup.modules) before in
       {
         pp_mode = (if poll then "busy-poll" else "adaptive");
         pp_queues = queues;
         pp_transactions = r.Netperf.transactions;
         pp_p50_us = r.Netperf.p50_latency_us;
         pp_p99_us = r.Netperf.p99_latency_us;
-        pp_poll_rounds = c.c_poll_rounds;
-        pp_notifies_sent = c.c_notifies_sent;
+        pp_counters = c;
       })
 
 let poll_sweep ~smoke =
@@ -1198,72 +1107,65 @@ let poll_sweep ~smoke =
       List.map (fun poll -> run_poll_point ~smoke ~poll ~queues ()) [ false; true ])
     [ 1; 4 ]
 
-let json_of_poll_point buf p =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"mode\": \"%s\", \"queues\": %d, \"transactions\": %d, \
-        \"rr_p50_latency_us\": %.3f, \"rr_p99_latency_us\": %.3f, \
-        \"poll_rounds\": %d, \"notifies_sent\": %d}"
-       p.pp_mode p.pp_queues p.pp_transactions p.pp_p50_us p.pp_p99_us
-       p.pp_poll_rounds p.pp_notifies_sent)
+let json_of_poll_point p =
+  let n = J.int p.pp_transactions in
+  J.Obj
+    ([
+       ("mode", J.Str p.pp_mode); ("queues", J.int p.pp_queues);
+       ("transactions", n); ("rr_p50_latency_us", J.fixed 3 p.pp_p50_us);
+       ("rr_p50_latency_us_n", n); ("rr_p99_latency_us", J.fixed 3 p.pp_p99_us);
+       ("rr_p99_latency_us_n", n);
+     ]
+    @ Sim.Counters.json_members p.pp_counters)
 
 let notifies_per_packet c =
-  if c.c_delivered = 0 then 0.0
-  else float_of_int c.c_notifies_sent /. float_of_int c.c_delivered
+  let delivered = count c "via_channel_rx" in
+  if delivered = 0 then 0.0
+  else float_of_int (count c "notifies_sent") /. float_of_int delivered
 
-let json_of_side buf r =
-  let jopt = function None -> "null" | Some v -> Printf.sprintf "%.3f" v in
+(* The measured figures, then every module counter's delta over the run
+   (a counter added to the module shows up here unasked). *)
+let json_of_side r =
+  let jopt = function None -> J.Null | Some v -> J.fixed 3 v in
   let c = r.w_counters in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"mbps\": %s, \"latency_us\": %s, \"delivered_app\": %d, \
-        \"packets_delivered\": %d, \
-        \"notifies_sent\": %d, \"notifies_suppressed\": %d, \"batches\": %d, \
-        \"poll_rounds\": %d, \"steered_packets\": %d, \
-        \"waiting_overflows\": %d, \"desc_tx\": %d, \"inline_tx\": %d, \
-        \"pool_fallbacks\": %d, \"loan_tx\": %d, \"loan_rx\": %d, \
-        \"loan_returns\": %d, \"loan_credit_stalls\": %d, \
-        \"jumbo_tx\": %d, \"jumbo_rx\": %d, \"jumbo_chunks_tx\": %d, \
-        \"jumbo_drops\": %d, \"cycles_per_byte\": %.4f, \
-        \"notifies_per_packet\": %.4f}"
-       (jopt r.w_mbps) (jopt r.w_latency_us) r.w_delivered_app c.c_delivered
-       c.c_notifies_sent c.c_notifies_suppressed c.c_batches c.c_poll_rounds
-       c.c_steered c.c_waiting_overflows c.c_desc_tx c.c_inline_tx
-       c.c_pool_fallbacks c.c_loan_tx c.c_loan_rx c.c_loan_returns
-       c.c_loan_credit_stalls c.c_jumbo_tx c.c_jumbo_rx c.c_jumbo_chunks_tx
-       c.c_jumbo_drops r.w_cycles_per_byte (notifies_per_packet c))
+  J.Obj
+    ([
+       ("mbps", jopt r.w_mbps); ("latency_us", jopt r.w_latency_us);
+       ("delivered_app", J.int r.w_delivered_app);
+       ("packets_delivered", J.int (count c "via_channel_rx"));
+       ("cycles_per_byte", J.fixed 4 r.w_cycles_per_byte);
+       ("notifies_per_packet", J.fixed 4 (notifies_per_packet c));
+     ]
+    @ Sim.Counters.json_members c)
 
-let json_of_mixed buf m =
-  let c = m.mx_counters in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"queues\": %d, \"stream_mbps\": %.3f, \"stream_bytes\": %d, \
-        \"rr_transactions\": %d, \"rr_avg_latency_us\": %.3f, \
-        \"rr_p99_latency_us\": %.3f, \"steered_packets\": %d, \
-        \"waiting_overflows\": %d, \"notifies_sent\": %d, \
-        \"notifies_suppressed\": %d,\n      \"per_queue\": ["
-       m.mx_queues m.mx_stream_mbps m.mx_stream_bytes m.mx_rr_transactions
-       m.mx_rr_avg_us m.mx_rr_p99_us c.c_steered c.c_waiting_overflows
-       c.c_notifies_sent c.c_notifies_suppressed);
-  Array.iteri
-    (fun i (q : Gm.queue_stat) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"queue\": %d, \"notifies_sent\": %d, \"notifies_suppressed\": %d, \
-            \"steered\": %d}"
-           i q.Gm.qs_notifies_sent q.Gm.qs_notifies_suppressed q.Gm.qs_steered))
-    m.mx_queue_stats;
-  Buffer.add_string buf "]}"
+let json_of_mixed m =
+  let per_queue i q =
+    J.Obj
+      (("queue", J.int i)
+      :: ("steered", J.int (count q "steered_packets"))
+      :: Sim.Counters.json_members q)
+  in
+  J.Obj
+    ([
+       ("queues", J.int m.mx_queues); ("stream_mbps", J.fixed 3 m.mx_stream_mbps);
+       ("stream_bytes", J.int m.mx_stream_bytes);
+       ("rr_transactions", J.int m.mx_rr_transactions);
+       ("rr_avg_latency_us", J.fixed 3 m.mx_rr_avg_us);
+       ("rr_p99_latency_us", J.fixed 3 m.mx_rr_p99_us);
+       ("rr_p99_latency_us_n", J.int m.mx_rr_transactions);
+     ]
+    @ Sim.Counters.json_members m.mx_counters
+    @ [ ("per_queue", J.Arr (Array.to_list (Array.mapi per_queue m.mx_queue_counters))) ])
 
-let json_of_zc_point buf p =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"mbps\": %.3f, \"delivered_app\": %d, \"copied_bytes\": %d, \
-        \"copies_per_byte\": %.4f, \"desc_tx\": %d, \"inline_tx\": %d, \
-        \"pool_fallbacks\": %d, \"grant_maps_connect\": %d}"
-       p.zp_mbps p.zp_delivered_app p.zp_copied_bytes p.zp_copies_per_byte
-       p.zp_desc_tx p.zp_inline_tx p.zp_pool_fallbacks p.zp_grant_maps)
+let json_of_zc_point p =
+  J.Obj
+    ([
+       ("mbps", J.fixed 3 p.zp_mbps); ("delivered_app", J.int p.zp_delivered_app);
+       ("copied_bytes", J.int p.zp_copied_bytes);
+       ("copies_per_byte", J.fixed 4 p.zp_copies_per_byte);
+       ("grant_maps_connect", J.int p.zp_grant_maps);
+     ]
+    @ Sim.Counters.json_members p.zp_counters)
 
 (* ------------------------------------------------------------------ *)
 (* Engine microbenchmark: sim_events_per_sec as a first-class metric.
@@ -1407,94 +1309,63 @@ let engine_bench_report pts =
       Printf.printf "engine_bench %-12s %10d events  %8.3f s  %12.0f events/sec\n"
         p.ebp_name p.ebp_events p.ebp_wall (ebp_rate p))
     pts;
-  let head = List.hd pts in
-  let rate = ebp_rate head in
-  let factor =
-    if pre_pr_events_per_sec > 0.0 then rate /. pre_pr_events_per_sec else 1.0
-  in
+  let rate = ebp_rate (List.hd pts) in
   Printf.printf "sim_events_per_sec %.0f  (pre-PR baseline %.0f, x%.2f)\n" rate
-    pre_pr_events_per_sec factor;
+    pre_pr_events_per_sec (rate /. pre_pr_events_per_sec);
   pts
 
-let json_of_engine_bench buf pts =
-  let head = List.hd pts in
-  let rate = ebp_rate head in
-  let factor =
-    if pre_pr_events_per_sec > 0.0 then rate /. pre_pr_events_per_sec else 1.0
+let json_of_engine_bench pts =
+  let rate = ebp_rate (List.hd pts) in
+  let scenario p =
+    J.Obj
+      [
+        ("name", J.Str p.ebp_name); ("events", J.int p.ebp_events);
+        ("wall_seconds", J.fixed 4 p.ebp_wall);
+        ("sim_events_per_sec", J.fixed 0 (ebp_rate p));
+      ]
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n    \"pre_pr_events_per_sec\": %.0f,\n    \"sim_events_per_sec\": \
-        %.0f,\n    \"improvement_factor\": %.2f,\n    \"scenarios\": [\n"
-       pre_pr_events_per_sec rate factor);
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"name\": \"%s\", \"events\": %d, \"wall_seconds\": %.4f, \
-            \"sim_events_per_sec\": %.0f}"
-           p.ebp_name p.ebp_events p.ebp_wall (ebp_rate p)))
-    pts;
-  Buffer.add_string buf "\n    ]}"
+  J.Obj
+    [
+      ("pre_pr_events_per_sec", J.fixed 0 pre_pr_events_per_sec);
+      ("sim_events_per_sec", J.fixed 0 rate);
+      ("improvement_factor", J.fixed 2 (rate /. pre_pr_events_per_sec));
+      ("scenarios", J.Arr (List.map scenario pts));
+    ]
+
+(* A gate's recorded baseline, read back from BENCH_results.json by the
+   JSON parser; a missing file, a malformed document or a missing key
+   (e.g. a renamed one) fails the gate with the path it looked for. *)
+let recorded ~gate path lookup =
+  let fail msg =
+    Printf.eprintf "%s: %s: %s\n" gate path msg;
+    exit 1
+  in
+  match J.of_string (In_channel.with_open_bin path In_channel.input_all) with
+  | exception Sys_error e -> fail e
+  | Error e -> fail e
+  | Ok doc -> ( match lookup doc with Ok v -> v | Error e -> fail e)
 
 (* The CI regression gate re-measures the headline scenario (smoke size —
    the rate, not the event count, is what matters) and compares it to the
-   number recorded in BENCH_results.json.  No JSON library in the tree, so
-   scan for the key by hand. *)
-
-let find_substring hay needle from =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some (i + nn)
-    else go (i + 1)
-  in
-  go from
-
-let recorded_events_per_sec path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match find_substring s "\"engine_bench\"" 0 with
-  | None -> None
-  | Some i -> (
-      match find_substring s "\"sim_events_per_sec\":" i with
-      | None -> None
-      | Some j ->
-          let k = ref j in
-          let n = String.length s in
-          while !k < n && s.[!k] = ' ' do incr k done;
-          let e = ref !k in
-          while
-            !e < n
-            && (match s.[!e] with
-               | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-               | _ -> false)
-          do
-            incr e
-          done;
-          float_of_string_opt (String.sub s !k (!e - !k)))
-
+   number recorded in BENCH_results.json. *)
 let engine_bench_check path =
-  match recorded_events_per_sec path with
-  | None ->
-      Printf.eprintf "engine-check: no engine_bench record in %s\n" path;
-      exit 1
-  | Some recorded ->
-      let p = best_of 3 (eb_callback_churn ~smoke:true) in
-      let rate = ebp_rate p in
-      Printf.printf
-        "engine-check: sim_events_per_sec %.0f vs recorded %.0f (%.0f%%)\n" rate
-        recorded
-        (100.0 *. rate /. recorded);
-      if rate < 0.75 *. recorded then begin
-        Printf.eprintf
-          "ENGINE PERF REGRESSION: sim_events_per_sec %.0f is more than 25%% \
-           below the recorded %.0f\n"
-          rate recorded;
-        exit 1
-      end
+  let recorded =
+    recorded ~gate:"engine-check" path (fun doc ->
+        J.number doc [ "engine_bench"; "sim_events_per_sec" ])
+  in
+  let p = best_of 3 (eb_callback_churn ~smoke:true) in
+  let rate = ebp_rate p in
+  Printf.printf
+    "engine-check: sim_events_per_sec %.0f vs recorded %.0f (%.0f%%)\n" rate
+    recorded
+    (100.0 *. rate /. recorded);
+  if rate < 0.75 *. recorded then begin
+    Printf.eprintf
+      "ENGINE PERF REGRESSION: sim_events_per_sec %.0f is more than 25%% \
+       below the recorded %.0f\n"
+      rate recorded;
+    exit 1
+  end
 
 (* Direct major-heap words per delivered byte the simulator itself
    allocates on that stream (DESIGN.md §10): 0.736 (5.89 host copies of
@@ -1523,7 +1394,8 @@ let datapath_check () =
     "datapath-check: tcp_stream %dB  %.1f Mbps  copies/byte %.4f (budget \
      0.10)  host major words/byte %.3f (budget %.2f)  desc %d  fallbacks %d\n"
     size p.zp_mbps p.zp_copies_per_byte p.zp_host_words_per_byte
-    host_words_budget p.zp_desc_tx p.zp_pool_fallbacks;
+    host_words_budget (count p.zp_counters "desc_tx")
+    (count p.zp_counters "pool_fallbacks");
   if p.zp_copies_per_byte > 0.1 then begin
     Printf.eprintf
       "DATA PATH REGRESSION: %.4f copies per delivered byte at %d B with \
@@ -1554,9 +1426,7 @@ type gso_point = {
   gp_delivered : int;
   gp_descs : int;  (* channel entries pushed: descriptor + inline *)
   gp_descs_per_mib : float;
-  gp_jumbo_tx : int;
-  gp_jumbo_rx : int;
-  gp_jumbo_chunks_tx : int;
+  gp_counters : Sim.Counters.snapshot;
   gp_cycles_per_byte : float;
 }
 
@@ -1579,15 +1449,15 @@ let run_gso_point ?(wire = false) ~smoke ~gso size =
   in_ctx ctx (fun { duo; client; server; dst } ->
       let busy = host_busy_meter [ client; server ] in
       let busy0 = busy () in
-      let before = counters_of_modules duo.Setup.modules in
+      let before = module_totals duo.Setup.modules in
       let total = if smoke then 2 * 1024 * 1024 else 8 * 1024 * 1024 in
       let r =
         Netperf.tcp_stream ~client ~server ~dst ~message_size:size
           ~total_bytes:total ()
       in
-      let c = sub_counters (counters_of_modules duo.Setup.modules) before in
+      let c = Sim.Counters.diff (module_totals duo.Setup.modules) before in
       let busy_s = busy () -. busy0 in
-      let descs = c.c_desc_tx + c.c_inline_tx in
+      let descs = count c "desc_tx" + count c "inline_tx" in
       let mib = float_of_int r.Netperf.bytes_received /. (1024.0 *. 1024.0) in
       {
         gp_size = size;
@@ -1596,9 +1466,7 @@ let run_gso_point ?(wire = false) ~smoke ~gso size =
         gp_delivered = r.Netperf.bytes_received;
         gp_descs = descs;
         gp_descs_per_mib = (if mib > 0.0 then float_of_int descs /. mib else 0.0);
-        gp_jumbo_tx = c.c_jumbo_tx;
-        gp_jumbo_rx = c.c_jumbo_rx;
-        gp_jumbo_chunks_tx = c.c_jumbo_chunks_tx;
+        gp_counters = c;
         gp_cycles_per_byte =
           cycles_per_byte ~busy_s ~bytes:r.Netperf.bytes_received;
       })
@@ -1612,21 +1480,23 @@ let gso_sweep ~smoke =
       (size, on, off))
     sizes
 
-let json_of_gso_point buf p =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"mbps\": %.3f, \"delivered_app\": %d, \"descriptors\": %d, \
-        \"descriptors_per_mib\": %.1f, \"jumbo_tx\": %d, \"jumbo_rx\": %d, \
-        \"jumbo_chunks_tx\": %d, \"cycles_per_byte\": %.4f}"
-       p.gp_mbps p.gp_delivered p.gp_descs p.gp_descs_per_mib p.gp_jumbo_tx
-       p.gp_jumbo_rx p.gp_jumbo_chunks_tx p.gp_cycles_per_byte)
+let json_of_gso_point p =
+  J.Obj
+    ([
+       ("mbps", J.fixed 3 p.gp_mbps); ("delivered_app", J.int p.gp_delivered);
+       ("descriptors", J.int p.gp_descs);
+       ("descriptors_per_mib", J.fixed 1 p.gp_descs_per_mib);
+       ("cycles_per_byte", J.fixed 4 p.gp_cycles_per_byte);
+     ]
+    @ Sim.Counters.json_members p.gp_counters)
 
 let gso_point_report (size, on, off) =
   Printf.printf
     "gso %6dB  off %8.1f Mbps (%7.1f desc/MiB)  on %8.1f Mbps (%7.1f \
      desc/MiB)  jumbos %d  cycles/B %.3f -> %.3f\n"
     size off.gp_mbps off.gp_descs_per_mib on.gp_mbps on.gp_descs_per_mib
-    on.gp_jumbo_tx off.gp_cycles_per_byte on.gp_cycles_per_byte
+    (count on.gp_counters "jumbo_tx")
+    off.gp_cycles_per_byte on.gp_cycles_per_byte
 
 (* CI gate (make gso-check): three independent clauses.
    (a) Offload must pay: gso-on 64 KiB TCP_STREAM >= 1.2x the gso-off
@@ -1665,7 +1535,7 @@ let gso_check () =
       on.gp_descs_per_mib wire.gp_descs_per_mib;
     failed := true
   end;
-  if on.gp_jumbo_tx = 0 then begin
+  if count on.gp_counters "jumbo_tx" = 0 then begin
     Printf.eprintf
       "GSO REGRESSION: no jumbo descriptors moved on a 64 KiB gso-on stream\n";
     failed := true
@@ -1848,17 +1718,18 @@ let mesh_sweep ~smoke =
       List.map (fun delta -> run_mesh_point ~guests ~hosts ~delta ()) [ true; false ])
     sizes
 
-let json_of_mesh_point buf p =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"guests\": %d, \"delta\": %b, \"hosts\": %d, \"channels_per_sec\": \
-        %.1f, \"channels_established\": %d, \"channels_evicted\": %d, \
-        \"live_channels\": %d, \"channel_pool_bytes\": %d, \"grant_entries\": \
-        %d, \"steady_announce_bytes_per_guest\": %.1f, \"announcements_sent\": \
-        %d, \"announcements_suppressed\": %d}"
-       p.me_guests p.me_delta p.me_hosts p.me_channels_per_sec p.me_established
-       p.me_evicted p.me_live_channels p.me_pool_bytes p.me_grant_entries
-       p.me_steady_bytes_per_guest p.me_announces_sent p.me_suppressed)
+let json_of_mesh_point p =
+  J.Obj
+    [
+      ("guests", J.int p.me_guests); ("delta", J.Bool p.me_delta); ("hosts", J.int p.me_hosts);
+      ("channels_per_sec", J.fixed 1 p.me_channels_per_sec);
+      ("channels_established", J.int p.me_established); ("channels_evicted", J.int p.me_evicted);
+      ("live_channels", J.int p.me_live_channels); ("channel_pool_bytes", J.int p.me_pool_bytes);
+      ("grant_entries", J.int p.me_grant_entries);
+      ("steady_announce_bytes_per_guest", J.fixed 1 p.me_steady_bytes_per_guest);
+      ("announcements_sent", J.int p.me_announces_sent);
+      ("announcements_suppressed", J.int p.me_suppressed);
+    ]
 
 let mesh_point_report p =
   Printf.printf
@@ -1878,71 +1749,53 @@ let mesh_point_report p =
 
 let mesh_announce_budget = 1024.0 (* bytes/guest over mesh_steady_window *)
 
-let mesh_recorded_channels_per_sec path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match find_substring s "\"mesh_sweep\"" 0 with
-  | None -> None
-  | Some i -> (
-      match find_substring s "\"guests\": 128, \"delta\": true" i with
-      | None -> None
-      | Some j -> (
-          match find_substring s "\"channels_per_sec\":" j with
-          | None -> None
-          | Some k ->
-              let k = ref k in
-              let n = String.length s in
-              while !k < n && s.[!k] = ' ' do incr k done;
-              let e = ref !k in
-              while
-                !e < n
-                && (match s.[!e] with
-                   | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-                   | _ -> false)
-              do
-                incr e
-              done;
-              float_of_string_opt (String.sub s !k (!e - !k))))
+let mesh_recorded_channels_per_sec doc =
+  let gate_point p =
+    J.member "guests" p = Some (J.Num 128.0) && J.member "delta" p = Some (J.Bool true)
+  in
+  let where = "mesh_sweep[guests=128,delta=true]" in
+  match J.path doc [ "mesh_sweep" ] with
+  | Ok (J.Arr points) when List.exists gate_point points ->
+      Result.map_error
+        (fun e -> where ^ "." ^ e)
+        (J.number (List.find gate_point points) [ "channels_per_sec" ])
+  | Ok _ -> Error (where ^ ": no such point")
+  | Error _ as e -> e
 
 let mesh_check path =
-  match mesh_recorded_channels_per_sec path with
-  | None ->
-      Printf.eprintf "mesh-check: no 128-guest delta mesh record in %s\n" path;
-      exit 1
-  | Some recorded ->
-      let p = run_mesh_point ~guests:128 ~hosts:1 ~delta:true () in
-      Printf.printf
-        "mesh-check: channels/sec %.0f vs recorded %.0f (%.0f%%)  steady \
-         announce %.1f B/guest (budget %.0f)  live %d (cap %d)\n"
-        p.me_channels_per_sec recorded
-        (100.0 *. p.me_channels_per_sec /. recorded)
-        p.me_steady_bytes_per_guest mesh_announce_budget p.me_live_channels
-        (p.me_guests * mesh_channel_cap);
-      let failed = ref false in
-      if p.me_steady_bytes_per_guest > mesh_announce_budget then begin
-        Printf.eprintf
-          "MESH CONTROL-PLANE REGRESSION: steady-state announce %.1f \
-           bytes/guest exceeds the O(churn) budget %.0f — delta \
-           announcements have degenerated toward full-list rebroadcast\n"
-          p.me_steady_bytes_per_guest mesh_announce_budget;
-        failed := true
-      end;
-      if p.me_channels_per_sec < 0.75 *. recorded then begin
-        Printf.eprintf
-          "MESH BRING-UP REGRESSION: %.0f channels/sec is more than 25%% \
-           below the recorded %.0f\n"
-          p.me_channels_per_sec recorded;
-        failed := true
-      end;
-      if p.me_live_channels > p.me_guests * mesh_channel_cap then begin
-        Printf.eprintf
-          "MESH CAP VIOLATION: %d live channels across %d guests exceeds \
-           the per-guest cap of %d\n"
-          p.me_live_channels p.me_guests mesh_channel_cap;
-        failed := true
-      end;
-      if !failed then exit 1
+  let recorded = recorded ~gate:"mesh-check" path mesh_recorded_channels_per_sec in
+  let p = run_mesh_point ~guests:128 ~hosts:1 ~delta:true () in
+  Printf.printf
+    "mesh-check: channels/sec %.0f vs recorded %.0f (%.0f%%)  steady \
+     announce %.1f B/guest (budget %.0f)  live %d (cap %d)\n"
+    p.me_channels_per_sec recorded
+    (100.0 *. p.me_channels_per_sec /. recorded)
+    p.me_steady_bytes_per_guest mesh_announce_budget p.me_live_channels
+    (p.me_guests * mesh_channel_cap);
+  let failed = ref false in
+  if p.me_steady_bytes_per_guest > mesh_announce_budget then begin
+    Printf.eprintf
+      "MESH CONTROL-PLANE REGRESSION: steady-state announce %.1f \
+       bytes/guest exceeds the O(churn) budget %.0f — delta \
+       announcements have degenerated toward full-list rebroadcast\n"
+      p.me_steady_bytes_per_guest mesh_announce_budget;
+    failed := true
+  end;
+  if p.me_channels_per_sec < 0.75 *. recorded then begin
+    Printf.eprintf
+      "MESH BRING-UP REGRESSION: %.0f channels/sec is more than 25%% \
+       below the recorded %.0f\n"
+      p.me_channels_per_sec recorded;
+    failed := true
+  end;
+  if p.me_live_channels > p.me_guests * mesh_channel_cap then begin
+    Printf.eprintf
+      "MESH CAP VIOLATION: %d live channels across %d guests exceeds \
+       the per-guest cap of %d\n"
+      p.me_live_channels p.me_guests mesh_channel_cap;
+    failed := true
+  end;
+  if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Fairness sweep (DESIGN.md §14): incast fan-in and elephant-vs-mice,
@@ -2127,56 +1980,52 @@ let run_fairness_sweep ~smoke =
         ~senders:elephant_senders ();
   }
 
-let json_of_fairness_side buf z =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"qos\": %b, \"jain\": %s, \"udp_mbps\": %.1f,\n       \
-        \"victim_rr\": {\"transactions\": %d, \"p50_us\": %.1f, \"p99_us\": \
-        %.1f},\n       \"flows\": ["
-       z.fz_qos
-       (match z.fz_jain with Some j -> Printf.sprintf "%.4f" j | None -> "null")
-       z.fz_udp_mbps z.fz_victim_transactions z.fz_victim_p50_us
-       z.fz_victim_p99_us);
-  List.iteri
-    (fun i (port, bytes, mis) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf "{\"port\": %d, \"bytes\": %d, \"misbehaving\": %b}"
-           port bytes mis))
-    z.fz_flows;
-  Buffer.add_string buf "],\n       \"flow_stats\": [";
-  List.iteri
-    (fun i fs ->
-      if i > 0 then Buffer.add_string buf ",\n         ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"flow\": \"%s\", \"tenant\": %d, \"weight\": %d, \"bytes\": %d, \
-            \"frames\": %d, \"descs\": %d, \"waiting_overflows\": %d, \
-            \"congestion_raises\": %d, \"congestion_clears\": %d}"
-           fs.Gm.fs_label fs.Gm.fs_tenant fs.Gm.fs_weight fs.Gm.fs_bytes
-           fs.Gm.fs_frames fs.Gm.fs_descs fs.Gm.fs_overflows
-           fs.Gm.fs_congestion_raises fs.Gm.fs_congestion_clears))
-    z.fz_flow_stats;
-  Buffer.add_string buf "]}"
-
-let json_of_fairness buf s =
-  Buffer.add_string buf "{\n    \"incast\": {\n      \"qos_off\": ";
-  json_of_fairness_side buf s.fw_incast_off;
-  Buffer.add_string buf ",\n      \"qos_on\": ";
-  json_of_fairness_side buf s.fw_incast_on;
-  Buffer.add_string buf "},\n    \"elephant_mice\": {\n      \"qos_off\": ";
-  json_of_fairness_side buf s.fw_elephant_off;
-  Buffer.add_string buf ",\n      \"qos_on\": ";
-  json_of_fairness_side buf s.fw_elephant_on;
-  let improvement =
-    if s.fw_elephant_on.fz_victim_p99_us > 0.0 then
-      s.fw_elephant_off.fz_victim_p99_us /. s.fw_elephant_on.fz_victim_p99_us
-    else Float.infinity
+let json_of_fairness_side z =
+  let flow (port, bytes, mis) =
+    J.Obj [ ("port", J.int port); ("bytes", J.int bytes); ("misbehaving", J.Bool mis) ]
   in
-  Buffer.add_string buf
-    (Printf.sprintf "},\n    \"victim_p99_improvement\": %s\n  }"
-       (if Float.is_finite improvement then Printf.sprintf "%.2f" improvement
-        else "null"))
+  let flow_stat fs =
+    J.Obj
+      [
+        ("flow", J.Str fs.Gm.fs_label); ("tenant", J.int fs.Gm.fs_tenant);
+        ("weight", J.int fs.Gm.fs_weight); ("bytes", J.int fs.Gm.fs_bytes);
+        ("frames", J.int fs.Gm.fs_frames); ("descs", J.int fs.Gm.fs_descs);
+        ("waiting_overflows", J.int fs.Gm.fs_overflows);
+        ("congestion_raises", J.int fs.Gm.fs_congestion_raises);
+        ("congestion_clears", J.int fs.Gm.fs_congestion_clears);
+      ]
+  in
+  let n = J.int z.fz_victim_transactions in
+  J.Obj
+    [
+      ("qos", J.Bool z.fz_qos);
+      ("jain", match z.fz_jain with Some j -> J.fixed 4 j | None -> J.Null);
+      ("udp_mbps", J.fixed 1 z.fz_udp_mbps);
+      ( "victim_rr",
+        J.Obj
+          [
+            ("transactions", n); ("p50_us", J.fixed 1 z.fz_victim_p50_us);
+            ("p50_us_n", n); ("p99_us", J.fixed 1 z.fz_victim_p99_us); ("p99_us_n", n);
+          ] );
+      ("flows", J.Arr (List.map flow z.fz_flows));
+      ("flow_stats", J.Arr (List.map flow_stat z.fz_flow_stats));
+    ]
+
+let victim_p99_improvement s =
+  if s.fw_elephant_on.fz_victim_p99_us > 0.0 then
+    s.fw_elephant_off.fz_victim_p99_us /. s.fw_elephant_on.fz_victim_p99_us
+  else Float.infinity
+
+let json_of_fairness s =
+  let pair off on =
+    J.Obj [ ("qos_off", json_of_fairness_side off); ("qos_on", json_of_fairness_side on) ]
+  in
+  J.Obj
+    [
+      ("incast", pair s.fw_incast_off s.fw_incast_on);
+      ("elephant_mice", pair s.fw_elephant_off s.fw_elephant_on);
+      ("victim_p99_improvement", J.fixed 2 (victim_p99_improvement s));
+    ]
 
 let fairness_report s =
   let side name z =
@@ -2200,11 +2049,7 @@ let fairness_check () =
   let s = run_fairness_sweep ~smoke:true in
   fairness_report s;
   let jain_on = Option.value ~default:0.0 s.fw_incast_on.fz_jain in
-  let improvement =
-    if s.fw_elephant_on.fz_victim_p99_us > 0.0 then
-      s.fw_elephant_off.fz_victim_p99_us /. s.fw_elephant_on.fz_victim_p99_us
-    else Float.infinity
-  in
+  let improvement = victim_p99_improvement s in
   Printf.printf
     "fairness-check: qos-on incast jain %.3f (floor 0.95)  victim p99 %.1f \
      -> %.1f us (%.1fx, floor 5x)\n"
@@ -2274,129 +2119,65 @@ let json_mode ~smoke path =
     (* The chaos soak rides along: the numbers above are only worth
        publishing if the same data path survives fault injection without
        losing, duplicating, or leaking anything. *)
+    let smoke_case c =
+      List.mem c.Chaos.Soak.c_name [ "xenloop-duo/baseline"; "xenloop-duo/storm" ]
+    in
     if smoke then
-      let storm =
-        List.filter_map
-          (fun k ->
-            if Chaos.Harness.applicable Chaos.Harness.Xenloop_duo k then
-              Some (Chaos.Fault.default_spec k)
-            else None)
-          Chaos.Fault.all
-      in
-      Chaos.Soak.run
-        ~cases:
-          [
-            {
-              Chaos.Soak.c_name = "xenloop-duo/baseline";
-              c_scenario = Chaos.Harness.Xenloop_duo;
-              c_faults = [];
-              c_loans = false;
-              c_evictions = false;
-              c_qos = false;
-              c_gso = false;
-            };
-            {
-              Chaos.Soak.c_name = "xenloop-duo/storm";
-              c_scenario = Chaos.Harness.Xenloop_duo;
-              c_faults = storm;
-              c_loans = false;
-              c_evictions = false;
-              c_qos = false;
-              c_gso = false;
-            };
-          ]
-        ~seed:42 ()
+      Chaos.Soak.run ~cases:(List.filter smoke_case (Chaos.Soak.matrix ())) ~seed:42 ()
     else Chaos.Soak.run ~seed:42 ()
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"smoke\": %b,\n  \"scenario\": \"xenloop_path\",\n"
-       smoke);
-  Buffer.add_string buf "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, base, opt) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (Printf.sprintf "    {\"name\": \"%s\",\n" name);
-      Buffer.add_string buf "     \"baseline\": ";
-      json_of_side buf base;
-      Buffer.add_string buf ",\n     \"optimized\": ";
-      json_of_side buf opt;
-      let reduction =
-        let b = notifies_per_packet base.w_counters
-        and o = notifies_per_packet opt.w_counters in
-        if o > 0.0 then b /. o else Float.infinity
-      in
-      Buffer.add_string buf
-        (Printf.sprintf ",\n     \"notify_reduction_factor\": %s}"
-           (if Float.is_finite reduction then Printf.sprintf "%.2f" reduction
-            else "null")))
-    results;
-  Buffer.add_string buf "\n  ],\n  \"mixed_queue_sweep\": [\n";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "    ";
-      json_of_mixed buf m)
-    queue_sweep;
-  Buffer.add_string buf "\n  ],\n  \"poll_sweep\": [\n";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "    ";
-      json_of_poll_point buf p)
-    poll_points;
-  Buffer.add_string buf "\n  ],\n  \"fifo_sweep_udp_stream\": [\n";
-  List.iteri
-    (fun i (k, mbps) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"fifo_k\": %d, \"fifo_kib\": %d, \"mbps\": %.2f}" k
-           (1 lsl k * 8 / 1024) mbps))
-    sweep;
-  Buffer.add_string buf "\n  ],\n  \"zerocopy_sweep\": [\n";
-  List.iteri
-    (fun i (name, points) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (Printf.sprintf "    {\"name\": \"%s\", \"points\": [\n" name);
-      List.iteri
-        (fun j (size, on, off) ->
-          if j > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (Printf.sprintf "      {\"size\": %d,\n       \"zerocopy\": " size);
-          json_of_zc_point buf on;
-          Buffer.add_string buf ",\n       \"inline\": ";
-          json_of_zc_point buf off;
-          Buffer.add_string buf "}")
-        points;
-      Buffer.add_string buf "\n    ]}")
-    zerocopy_sweep;
-  Buffer.add_string buf "\n  ],\n  \"gso_sweep\": [\n";
-  List.iteri
-    (fun i (size, on, off) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"size\": %d,\n     \"gso\": " size);
-      json_of_gso_point buf on;
-      Buffer.add_string buf ",\n     \"gso_off\": ";
-      json_of_gso_point buf off;
-      Buffer.add_string buf "}")
-    gso_points;
-  Buffer.add_string buf "\n  ],\n  \"mesh_sweep\": [\n";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "    ";
-      json_of_mesh_point buf p)
-    mesh_points;
-  Buffer.add_string buf "\n  ],\n  \"fairness_sweep\": ";
-  json_of_fairness buf fairness;
-  Buffer.add_string buf ",\n  \"engine_bench\": ";
-  json_of_engine_bench buf engine_points;
-  Buffer.add_string buf ",\n  \"chaos\": ";
-  Buffer.add_string buf (Chaos.Soak.to_json chaos_summary);
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  (* One size of an on/off sweep. *)
+  let pair (on_key, off_key) json (size, on, off) =
+    J.Obj [ ("size", J.int size); (on_key, json on); (off_key, json off) ]
+  in
+  let doc =
+    J.Obj
+      [
+        ("smoke", J.Bool smoke);
+        ("scenario", J.Str "xenloop_path");
+        ( "workloads",
+          J.Arr
+            (List.map
+               (fun (name, base, opt) ->
+                 let b = notifies_per_packet base.w_counters
+                 and o = notifies_per_packet opt.w_counters in
+                 J.Obj
+                   [
+                     ("name", J.Str name); ("baseline", json_of_side base);
+                     ("optimized", json_of_side opt);
+                     ( "notify_reduction_factor",
+                       J.fixed 2 (if o > 0.0 then b /. o else Float.infinity) );
+                   ])
+               results) );
+        ("mixed_queue_sweep", J.Arr (List.map json_of_mixed queue_sweep));
+        ("poll_sweep", J.Arr (List.map json_of_poll_point poll_points));
+        ( "fifo_sweep_udp_stream",
+          J.Arr
+            (List.map
+               (fun (k, mbps) ->
+                 J.Obj
+                   [
+                     ("fifo_k", J.int k); ("fifo_kib", J.int ((1 lsl k) * 8 / 1024));
+                     ("mbps", J.fixed 2 mbps);
+                   ])
+               sweep) );
+        ( "zerocopy_sweep",
+          J.Arr
+            (List.map
+               (fun (name, points) ->
+                 let point = pair ("zerocopy", "inline") json_of_zc_point in
+                 J.Obj [ ("name", J.Str name); ("points", J.Arr (List.map point points)) ])
+               zerocopy_sweep) );
+        ("gso_sweep", J.Arr (List.map (pair ("gso", "gso_off") json_of_gso_point) gso_points));
+        ("mesh_sweep", J.Arr (List.map json_of_mesh_point mesh_points));
+        ("fairness_sweep", json_of_fairness fairness);
+        ("engine_bench", json_of_engine_bench engine_points);
+        ("chaos", Chaos.Soak.to_json chaos_summary);
+      ]
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (J.to_string doc);
+      output_char oc '\n');
   List.iter
     (fun (name, base, opt) ->
       Printf.printf "%-12s notifies/packet %8.4f -> %8.4f\n" name
@@ -2411,7 +2192,8 @@ let json_mode ~smoke path =
   List.iter
     (fun p ->
       Printf.printf "poll %-9s q=%d  rr p50 %7.1f us  p99 %7.1f us  notifies %d\n"
-        p.pp_mode p.pp_queues p.pp_p50_us p.pp_p99_us p.pp_notifies_sent)
+        p.pp_mode p.pp_queues p.pp_p50_us p.pp_p99_us
+        (count p.pp_counters "notifies_sent"))
     poll_points;
   List.iter
     (fun (name, points) ->
@@ -2421,7 +2203,8 @@ let json_mode ~smoke path =
             "zc %-10s %6dB  %8.1f -> %8.1f Mbps  copies/byte %5.2f -> %5.2f  \
              fallbacks %d\n"
             name size off.zp_mbps on.zp_mbps off.zp_copies_per_byte
-            on.zp_copies_per_byte on.zp_pool_fallbacks)
+            on.zp_copies_per_byte
+            (count on.zp_counters "pool_fallbacks"))
         points)
     zerocopy_sweep;
   List.iter gso_point_report gso_points;
@@ -2433,66 +2216,50 @@ let json_mode ~smoke path =
      application receives.  A mismatch is a data-path bug — fail loudly so
      CI goes red instead of silently publishing wrong numbers. *)
   let failures = ref [] in
+  let mismatch fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   List.iter
     (fun (name, base, opt) ->
       if base.w_delivered_app <> opt.w_delivered_app then
-        failures :=
-          Printf.sprintf "%s: baseline delivered %d, optimized delivered %d" name
-            base.w_delivered_app opt.w_delivered_app
-          :: !failures)
+        mismatch "%s: baseline delivered %d, optimized delivered %d" name
+          base.w_delivered_app opt.w_delivered_app)
     results;
   List.iter
     (fun (name, points) ->
       List.iter
         (fun (size, on, off) ->
           if on.zp_delivered_app <> off.zp_delivered_app then
-            failures :=
-              Printf.sprintf
-                "%s size=%d: zerocopy delivered %d bytes, inline delivered %d"
-                name size on.zp_delivered_app off.zp_delivered_app
-              :: !failures)
+            mismatch "%s size=%d: zerocopy delivered %d bytes, inline delivered %d"
+              name size on.zp_delivered_app off.zp_delivered_app)
         points)
     zerocopy_sweep;
   List.iter
     (fun (size, on, off) ->
       if on.gp_delivered <> off.gp_delivered then
-        failures :=
-          Printf.sprintf
-            "gso size=%d: offload on delivered %d bytes, off delivered %d"
-            size on.gp_delivered off.gp_delivered
-          :: !failures)
+        mismatch "gso size=%d: offload on delivered %d bytes, off delivered %d"
+          size on.gp_delivered off.gp_delivered)
     gso_points;
-  (match poll_points with
-  | first :: rest ->
-      List.iter
-        (fun p ->
-          if p.pp_transactions <> first.pp_transactions then
-            failures :=
-              Printf.sprintf
-                "poll_sweep: %s q=%d completed %d transactions but %s q=%d \
-                 completed %d"
-                p.pp_mode p.pp_queues p.pp_transactions first.pp_mode
-                first.pp_queues first.pp_transactions
-              :: !failures)
-        rest
-  | [] -> ());
-  (match queue_sweep with
-  | first :: rest ->
-      List.iter
-        (fun m ->
-          if
-            m.mx_stream_bytes <> first.mx_stream_bytes
-            || m.mx_rr_transactions <> first.mx_rr_transactions
-          then
-            failures :=
-              Printf.sprintf
-                "mixed: queues=%d delivered (%d bytes, %d transactions) but \
-                 queues=%d delivered (%d bytes, %d transactions)"
-                m.mx_queues m.mx_stream_bytes m.mx_rr_transactions
-                first.mx_queues first.mx_stream_bytes first.mx_rr_transactions
-              :: !failures)
-        rest
-  | [] -> ());
+  let p0 = List.hd poll_points in
+  List.iter
+    (fun p ->
+      if p.pp_transactions <> p0.pp_transactions then
+        mismatch
+          "poll_sweep: %s q=%d completed %d transactions but %s q=%d completed %d"
+          p.pp_mode p.pp_queues p.pp_transactions p0.pp_mode p0.pp_queues
+          p0.pp_transactions)
+    poll_points;
+  let m0 = List.hd queue_sweep in
+  List.iter
+    (fun m ->
+      if
+        m.mx_stream_bytes <> m0.mx_stream_bytes
+        || m.mx_rr_transactions <> m0.mx_rr_transactions
+      then
+        mismatch
+          "mixed: queues=%d delivered (%d bytes, %d transactions) but \
+           queues=%d delivered (%d bytes, %d transactions)"
+          m.mx_queues m.mx_stream_bytes m.mx_rr_transactions m0.mx_queues
+          m0.mx_stream_bytes m0.mx_rr_transactions)
+    queue_sweep;
   if !failures <> [] then begin
     prerr_endline "DELIVERY MISMATCH: application-level delivery changed across data-path settings:";
     List.iter (fun f -> Printf.eprintf "  %s\n" f) (List.rev !failures);
@@ -2546,7 +2313,8 @@ let ablation_notify () =
       let r = run_json_workload ~params ~smoke:false "udp_stream" in
       Format.fprintf fmt "%-32s %8.1f Mbps  notifies %5d  polls %6d@." name
         (Option.value ~default:0.0 r.w_mbps)
-        r.w_counters.c_notifies_sent r.w_counters.c_poll_rounds)
+        (count r.w_counters "notifies_sent")
+        (count r.w_counters "poll_rounds"))
     combos;
   Format.fprintf fmt "@."
 
@@ -2565,18 +2333,21 @@ let queue_sweep_experiment () =
       Format.fprintf fmt
         "queues=%d  stream %8.1f Mbps  rr avg %7.1f us  p99 %7.1f us  overflows %d@."
         m.mx_queues m.mx_stream_mbps m.mx_rr_avg_us m.mx_rr_p99_us
-        m.mx_counters.c_waiting_overflows;
+        (count m.mx_counters "waiting_overflows");
       Format.fprintf fmt
         "    notifies %d  suppressed %d  batches %d  polls %d  delivered %d@."
-        m.mx_counters.c_notifies_sent m.mx_counters.c_notifies_suppressed
-        m.mx_counters.c_batches m.mx_counters.c_poll_rounds
-        m.mx_counters.c_delivered;
+        (count m.mx_counters "notifies_sent")
+        (count m.mx_counters "notifies_suppressed")
+        (count m.mx_counters "batches")
+        (count m.mx_counters "poll_rounds")
+        (count m.mx_counters "via_channel_rx");
       Array.iteri
-        (fun i (qs : Gm.queue_stat) ->
+        (fun i qs ->
           Format.fprintf fmt
             "    q%d: steered %6d  notifies %5d  suppressed %6d@." i
-            qs.Gm.qs_steered qs.Gm.qs_notifies_sent qs.Gm.qs_notifies_suppressed)
-        m.mx_queue_stats)
+            (count qs "steered_packets") (count qs "notifies_sent")
+            (count qs "notifies_suppressed"))
+        m.mx_queue_counters)
     [ 1; 2; 4; 8 ];
   Format.fprintf fmt "@."
 
@@ -2594,7 +2365,8 @@ let zerocopy_sweep_experiment () =
             "%6d B  inline %8.1f Mbps (%4.2f cp/B)  zerocopy %8.1f Mbps \
              (%4.2f cp/B)  desc %6d  fallbacks %d@."
             size off.zp_mbps off.zp_copies_per_byte on.zp_mbps
-            on.zp_copies_per_byte on.zp_desc_tx on.zp_pool_fallbacks)
+            on.zp_copies_per_byte (count on.zp_counters "desc_tx")
+            (count on.zp_counters "pool_fallbacks"))
         points;
       Format.fprintf fmt "@.")
     (zc_sweep ~smoke:false)

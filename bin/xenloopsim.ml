@@ -357,7 +357,7 @@ let chaos_cmd =
               if not json then Printf.printf "  %s\n%!" line)
             ()
         in
-        if json then print_endline (Chaos.Soak.to_json ~digests:true summary)
+        if json then print_endline (Sim.Json.to_string (Chaos.Soak.to_json ~digests:true summary))
         else Format.printf "%a@." Chaos.Soak.pp summary;
         exit (if Chaos.Soak.ok summary then 0 else 1)
   in

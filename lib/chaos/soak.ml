@@ -210,6 +210,7 @@ type summary = {
   s_duplicates : int;
   s_violation_runs : int;
   s_first_failure : failure option;
+  s_recovery_n : int;
   s_recovery_p50_us : float;
   s_recovery_p99_us : float;
   s_recovery_max_us : float;
@@ -304,6 +305,7 @@ let run ?cases ?(seed = 42) ?(iters = 1) ?(progress = fun _ -> ()) () =
     s_duplicates = !dups;
     s_violation_runs = !violation_runs;
     s_first_failure = !first_failure;
+    s_recovery_n = Array.length sorted;
     s_recovery_p50_us = percentile sorted 50.0;
     s_recovery_p99_us = percentile sorted 99.0;
     s_recovery_max_us = percentile sorted 100.0;
@@ -330,59 +332,35 @@ let pp fmt s =
         f.fail_seed);
   Format.fprintf fmt "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?(digests = false) s =
-  let b = Buffer.create 512 in
-  let field ?(last = false) name value =
-    Buffer.add_string b (Printf.sprintf "    %S: %s%s\n" name value (if last then "" else ","))
+  let module J = Sim.Json in
+  let ints = List.map (fun (k, v) -> (k, J.int v)) in
+  let strings l = J.Arr (List.map (fun x -> J.Str x) l) in
+  let digest d =
+    J.Obj [ ("case", J.Str d.cd_case); ("seed", J.int d.cd_seed); ("digest", J.Str d.cd_digest) ]
   in
-  let strings l =
-    "[" ^ String.concat ", " (List.map (fun x -> "\"" ^ json_escape x ^ "\"") l) ^ "]"
-  in
-  Buffer.add_string b "{\n";
-  field "base_seed" (string_of_int s.s_base_seed);
-  field "iterations" (string_of_int s.s_iters);
-  field "runs" (string_of_int s.s_runs);
-  field "scenarios" (strings s.s_scenarios);
-  field "fault_kinds" (strings s.s_kinds);
-  field "faults_injected" (string_of_int s.s_total_injected);
-  field "datagrams_sent" (string_of_int s.s_sent);
-  field "datagrams_delivered" (string_of_int s.s_delivered);
-  field "datagrams_lost" (string_of_int s.s_lost);
-  field "datagrams_duplicated" (string_of_int s.s_duplicates);
-  field "violation_runs" (string_of_int s.s_violation_runs);
-  field "recovery_p50_us" (Printf.sprintf "%.1f" s.s_recovery_p50_us);
-  field "recovery_p99_us" (Printf.sprintf "%.1f" s.s_recovery_p99_us);
-  field "recovery_max_us" (Printf.sprintf "%.1f" s.s_recovery_max_us);
-  (match s.s_first_failure with
-  | None -> field ~last:(not digests) "first_failure" "null"
-  | Some f ->
-      field ~last:(not digests) "first_failure"
-        (Printf.sprintf
-           "{\"seed\": %d, \"case\": \"%s\", \"violations\": %s}" f.fail_seed
-           (json_escape f.fail_case) (strings f.fail_violations)));
-  if digests then
-    field ~last:true "cases"
-      ("[\n"
-      ^ String.concat ",\n"
-          (List.map
-             (fun d ->
-               Printf.sprintf
-                 "      {\"case\": \"%s\", \"seed\": %d, \"digest\": \"%s\"}"
-                 (json_escape d.cd_case) d.cd_seed d.cd_digest)
-             s.s_digests)
-      ^ "\n    ]");
-  Buffer.add_string b "  }";
-  Buffer.contents b
+  let n = s.s_recovery_n in
+  J.Obj
+    (ints [ ("base_seed", s.s_base_seed); ("iterations", s.s_iters); ("runs", s.s_runs) ]
+    @ [ ("scenarios", strings s.s_scenarios); ("fault_kinds", strings s.s_kinds) ]
+    @ ints
+        [
+          ("faults_injected", s.s_total_injected); ("datagrams_sent", s.s_sent);
+          ("datagrams_delivered", s.s_delivered); ("datagrams_lost", s.s_lost);
+          ("datagrams_duplicated", s.s_duplicates); ("violation_runs", s.s_violation_runs);
+        ]
+    @ [
+        ("recovery_p50_us", J.fixed 1 s.s_recovery_p50_us); ("recovery_p50_us_n", J.int n);
+        ("recovery_p99_us", J.fixed 1 s.s_recovery_p99_us); ("recovery_p99_us_n", J.int n);
+        ("recovery_max_us", J.fixed 1 s.s_recovery_max_us);
+        ( "first_failure",
+          match s.s_first_failure with
+          | None -> J.Null
+          | Some f ->
+              J.Obj
+                [
+                  ("seed", J.int f.fail_seed); ("case", J.Str f.fail_case);
+                  ("violations", strings f.fail_violations);
+                ] );
+      ]
+    @ if digests then [ ("cases", J.Arr (List.map digest s.s_digests)) ] else [])

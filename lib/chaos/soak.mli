@@ -87,6 +87,7 @@ type summary = {
   s_duplicates : int;
   s_violation_runs : int;
   s_first_failure : failure option;
+  s_recovery_n : int;  (** recovery samples behind the percentiles *)
   s_recovery_p50_us : float;
   s_recovery_p99_us : float;
   s_recovery_max_us : float;
@@ -110,7 +111,7 @@ val run :
 
 val pp : Format.formatter -> summary -> unit
 
-val to_json : ?digests:bool -> summary -> string
+val to_json : ?digests:bool -> summary -> Sim.Json.t
 (** The [chaos] summary object embedded in BENCH_results.json.  With
     [~digests:true] (the [xenloopsim chaos --json] form) it also carries
     a ["cases"] array of [{case, seed, digest}] objects, one per run, so

@@ -6,46 +6,90 @@ module Params = Hypervisor.Params
 module Domain = Hypervisor.Domain
 module Machine = Hypervisor.Machine
 module Stack = Netstack.Stack
+module Counters = Sim.Counters
 
 type stats = {
-  mutable via_channel_tx : int;
-  mutable via_channel_rx : int;
-  mutable queued_to_waiting : int;
-  mutable waiting_overflows : int;
-  mutable too_big_fallback : int;
-  mutable channels_established : int;
-  mutable channels_torn_down : int;
-  mutable bootstraps_started : int;
-  mutable corrupt_channels : int;
-  mutable notifies_sent : int;
-  mutable notifies_suppressed : int;
-  mutable batches : int;
-  mutable poll_rounds : int;
-  mutable steered_packets : int;
-  mutable flow_cache_hits : int;
-  mutable flow_cache_misses : int;
-  mutable desc_tx : int;
-  mutable inline_tx : int;
-  mutable pool_fallbacks : int;
-  mutable loan_tx : int;
-  mutable loan_rx : int;
-  mutable loan_returns : int;
-  mutable loan_credit_stalls : int;
-  mutable loans_force_returned : int;
-  mutable bootstrap_failures : int;
-  mutable softstate_evictions : int;
-  mutable channels_evicted : int;
-  mutable delta_announces : int;
-  mutable jumbo_tx : int;  (** jumbo descriptors pushed (DESIGN.md §15) *)
-  mutable jumbo_rx : int;  (** jumbo descriptors delivered *)
-  mutable jumbo_chunks_tx : int;  (** pool slots those descriptors carried *)
-  mutable jumbo_drops : int;
+  via_channel_tx : int;
+  via_channel_rx : int;
+  queued_to_waiting : int;
+  waiting_overflows : int;
+  too_big_fallback : int;
+  channels_established : int;
+  channels_torn_down : int;
+  bootstraps_started : int;
+  corrupt_channels : int;
+  notifies_sent : int;
+  notifies_suppressed : int;
+  batches : int;
+  poll_rounds : int;
+  steered_packets : int;
+  flow_cache_hits : int;
+  flow_cache_misses : int;
+  desc_tx : int;
+  inline_tx : int;
+  pool_fallbacks : int;
+  loan_tx : int;
+  loan_rx : int;
+  loan_returns : int;
+  loan_credit_stalls : int;
+  loans_force_returned : int;
+  bootstrap_failures : int;
+  softstate_evictions : int;
+  channels_evicted : int;
+  delta_announces : int;
+  jumbo_tx : int;  (** jumbo descriptors pushed (DESIGN.md §15) *)
+  jumbo_rx : int;  (** jumbo descriptors delivered *)
+  jumbo_chunks_tx : int;  (** pool slots those descriptors carried *)
+  jumbo_drops : int;
       (** jumbo descriptors dropped at rx for a corrupt chunk vector
           (slots returned, frame lost loudly — never mis-delivered) *)
-  mutable csum_elided : int;
+  csum_elided : int;
       (** frames serialized without a transport checksum because they
           were bound for a gso channel (the descriptor carries csum_ok) *)
 }
+
+(* Every counter the module keeps, in one registry.  Adding a counter is
+   one line here plus its [Counters.bump]; it then shows up in
+   {!counters}, {!queue_counters} and every report built on them.  Queue
+   scopes roll up into the module scope ([t.s]), so a call site that has
+   a queue bumps it once and the module total follows (DESIGN.md §16). *)
+module C = struct
+  let registry = Counters.registry "xenloop"
+  let c = Counters.counter registry
+  let via_channel_tx = c "via_channel_tx"
+  let via_channel_rx = c "via_channel_rx"
+  let queued_to_waiting = c "queued_to_waiting"
+  let waiting_overflows = c "waiting_overflows"
+  let too_big_fallback = c "too_big_fallback"
+  let channels_established = c "channels_established"
+  let channels_torn_down = c "channels_torn_down"
+  let bootstraps_started = c "bootstraps_started"
+  let corrupt_channels = c "corrupt_channels"
+  let notifies_sent = c "notifies_sent"
+  let notifies_suppressed = c "notifies_suppressed"
+  let batches = c "batches"
+  let poll_rounds = c "poll_rounds"
+  let steered_packets = c "steered_packets"
+  let flow_cache_hits = c "flow_cache_hits"
+  let flow_cache_misses = c "flow_cache_misses"
+  let desc_tx = c "desc_tx"
+  let inline_tx = c "inline_tx"
+  let pool_fallbacks = c "pool_fallbacks"
+  let loan_tx = c "loan_tx"
+  let loan_rx = c "loan_rx"
+  let loan_returns = c "loan_returns"
+  let loan_credit_stalls = c "loan_credit_stalls"
+  let loans_force_returned = c "loans_force_returned"
+  let bootstrap_failures = c "bootstrap_failures"
+  let softstate_evictions = c "softstate_evictions"
+  let channels_evicted = c "channels_evicted"
+  let delta_announces = c "delta_announces"
+  let jumbo_tx = c "jumbo_tx"
+  let jumbo_rx = c "jumbo_rx"
+  let jumbo_chunks_tx = c "jumbo_chunks_tx"
+  let jumbo_drops = c "jumbo_drops"
+  let csum_elided = c "csum_elided"
+end
 
 type role = Listener | Connector
 
@@ -88,16 +132,7 @@ type queue = {
   mutable q_tx_draining : bool;
       (** some process is inside [drain_waiting]; CPU charges yield, so the
           handler and a sender batch-flush could otherwise double-pop *)
-  mutable q_notifies_sent : int;
-  mutable q_notifies_suppressed : int;
-  mutable q_steered : int;
-  mutable q_desc_tx : int;
-  mutable q_inline_tx : int;
-  mutable q_pool_fallbacks : int;
-  mutable q_loan_tx : int;
-  mutable q_loan_rx : int;
-  mutable q_loan_returns : int;
-  mutable q_loan_credit_stalls : int;
+  q_counts : Counters.scope;  (** this queue's counters; rolls up into [t.s] *)
 }
 
 type channel = {
@@ -179,7 +214,7 @@ type t = {
     unit)
     option;
   trace : Sim.Trace.t option;
-  s : stats;
+  s : Counters.scope;  (** module totals; every queue scope rolls up here *)
   mutable loaded : bool;
   mutable next_token : int;  (** Requested_from_listener incarnations *)
   mutable last_announce : Sim.Time.t;
@@ -209,7 +244,45 @@ let max_create_retries = 3
 let ack_timeout = Sim.Time.ms 500
 let flow_cache_max = 4096
 
-let stats t = t.s
+let stats t =
+  let v = Counters.get t.s in
+  {
+    via_channel_tx = v C.via_channel_tx;
+    via_channel_rx = v C.via_channel_rx;
+    queued_to_waiting = v C.queued_to_waiting;
+    waiting_overflows = v C.waiting_overflows;
+    too_big_fallback = v C.too_big_fallback;
+    channels_established = v C.channels_established;
+    channels_torn_down = v C.channels_torn_down;
+    bootstraps_started = v C.bootstraps_started;
+    corrupt_channels = v C.corrupt_channels;
+    notifies_sent = v C.notifies_sent;
+    notifies_suppressed = v C.notifies_suppressed;
+    batches = v C.batches;
+    poll_rounds = v C.poll_rounds;
+    steered_packets = v C.steered_packets;
+    flow_cache_hits = v C.flow_cache_hits;
+    flow_cache_misses = v C.flow_cache_misses;
+    desc_tx = v C.desc_tx;
+    inline_tx = v C.inline_tx;
+    pool_fallbacks = v C.pool_fallbacks;
+    loan_tx = v C.loan_tx;
+    loan_rx = v C.loan_rx;
+    loan_returns = v C.loan_returns;
+    loan_credit_stalls = v C.loan_credit_stalls;
+    loans_force_returned = v C.loans_force_returned;
+    bootstrap_failures = v C.bootstrap_failures;
+    softstate_evictions = v C.softstate_evictions;
+    channels_evicted = v C.channels_evicted;
+    delta_announces = v C.delta_announces;
+    jumbo_tx = v C.jumbo_tx;
+    jumbo_rx = v C.jumbo_rx;
+    jumbo_chunks_tx = v C.jumbo_chunks_tx;
+    jumbo_drops = v C.jumbo_drops;
+    csum_elided = v C.csum_elided;
+  }
+
+let counters t = Counters.snapshot t.s
 let is_loaded t = t.loaded
 let mapping_size t = Mapping_table.size t.mapping
 let fifo_k t = t.k
@@ -274,39 +347,9 @@ let queue_count t ~domid =
   | Some (Active ch) -> Array.length ch.queues
   | Some (Bootstrapping _ | Failed_until _) | None -> 0
 
-type queue_stat = {
-  qs_notifies_sent : int;
-  qs_notifies_suppressed : int;
-  qs_steered : int;
-  qs_waiting : int;
-  qs_desc_tx : int;
-  qs_inline_tx : int;
-  qs_pool_fallbacks : int;
-  qs_loan_tx : int;
-  qs_loan_rx : int;
-  qs_loan_returns : int;
-  qs_loan_credit_stalls : int;
-}
-
-let queue_stats t ~domid =
+let queue_counters t ~domid =
   match Hashtbl.find_opt t.peers domid with
-  | Some (Active ch) ->
-      Array.map
-        (fun q ->
-          {
-            qs_notifies_sent = q.q_notifies_sent;
-            qs_notifies_suppressed = q.q_notifies_suppressed;
-            qs_steered = q.q_steered;
-            qs_waiting = tx_backlog_length q;
-            qs_desc_tx = q.q_desc_tx;
-            qs_inline_tx = q.q_inline_tx;
-            qs_pool_fallbacks = q.q_pool_fallbacks;
-            qs_loan_tx = q.q_loan_tx;
-            qs_loan_rx = q.q_loan_rx;
-            qs_loan_returns = q.q_loan_returns;
-            qs_loan_credit_stalls = q.q_loan_credit_stalls;
-          })
-        ch.queues
+  | Some (Active ch) -> Array.map (fun q -> Counters.snapshot q.q_counts) ch.queues
   | Some (Bootstrapping _ | Failed_until _) | None -> [||]
 
 (* Whether the connected channel to [domid] negotiated a feature on at
@@ -427,13 +470,9 @@ let notify_peer ?(force = false) t q =
     (not force)
     && (p.Params.xenloop_notify_suppression || p.Params.xenloop_poll_mode)
     && Fifo.consumer_active q.out_fifo
-  then begin
-    t.s.notifies_suppressed <- t.s.notifies_suppressed + 1;
-    q.q_notifies_suppressed <- q.q_notifies_suppressed + 1
-  end
+  then Counters.bump q.q_counts C.notifies_suppressed
   else begin
-    t.s.notifies_sent <- t.s.notifies_sent + 1;
-    q.q_notifies_sent <- q.q_notifies_sent + 1;
+    Counters.bump q.q_counts C.notifies_sent;
     Sim.Resource.use (cpu t) p.Params.hypercall;
     ignore
       (Ec.notify (Machine.evtchn (t.current_machine ())) ~dom:(my_domid t)
@@ -461,28 +500,19 @@ let push_refused t =
    descriptor on a loan-negotiated channel is loan-eligible at the
    receiver (which may still degrade it to copy-out under credit pressure
    — that shows up in its loan_credit_stalls, not here). *)
-let count_desc_tx t q =
-  q.q_desc_tx <- q.q_desc_tx + 1;
-  t.s.desc_tx <- t.s.desc_tx + 1;
-  if q.q_max_loans > 0 then begin
-    q.q_loan_tx <- q.q_loan_tx + 1;
-    t.s.loan_tx <- t.s.loan_tx + 1
-  end
+let count_desc_tx q =
+  Counters.bump q.q_counts C.desc_tx;
+  if q.q_max_loans > 0 then Counters.bump q.q_counts C.loan_tx
 
 (* [outcome] is a {!Fifo.push_entry} result code; plain ints keep the
    per-packet TX path allocation-free. *)
-let note_outcome t q outcome =
+let note_outcome q outcome =
   if outcome = Fifo.push_failed then false
   else begin
-    if outcome = Fifo.pushed_desc then count_desc_tx t q
-    else begin
-      q.q_inline_tx <- q.q_inline_tx + 1;
-      t.s.inline_tx <- t.s.inline_tx + 1
-    end;
-    if outcome = Fifo.pushed_inline_fallback then begin
-      q.q_pool_fallbacks <- q.q_pool_fallbacks + 1;
-      t.s.pool_fallbacks <- t.s.pool_fallbacks + 1
-    end;
+    if outcome = Fifo.pushed_desc then count_desc_tx q
+    else Counters.bump q.q_counts C.inline_tx;
+    if outcome = Fifo.pushed_inline_fallback then
+      Counters.bump q.q_counts C.pool_fallbacks;
     true
   end
 
@@ -588,8 +618,7 @@ let push_jumbo ?(amortized = false) t q raw =
         in
         if !allocated < nchunks then begin
           rollback ();
-          q.q_pool_fallbacks <- q.q_pool_fallbacks + 1;
-          t.s.pool_fallbacks <- t.s.pool_fallbacks + 1;
+          Counters.bump q.q_counts C.pool_fallbacks;
           false
         end
         else begin
@@ -606,9 +635,9 @@ let push_jumbo ?(amortized = false) t q raw =
               ~chunk_lens ~nchunks ~total_len:len ~proto_hint:(proto_hint_of raw)
               ()
           then begin
-            count_desc_tx t q;
-            t.s.jumbo_tx <- t.s.jumbo_tx + 1;
-            t.s.jumbo_chunks_tx <- t.s.jumbo_chunks_tx + nchunks;
+            count_desc_tx q;
+            Counters.bump t.s C.jumbo_tx;
+            Counters.add t.s C.jumbo_chunks_tx nchunks;
             true
           end
           else begin
@@ -640,7 +669,7 @@ let push_plain ~amortized t q raw =
     Fifo.push_entry q.out_fifo ~pool:q.q_tx_pool ~inline_max:q.q_inline_max
       ~proto_hint:(proto_hint_of raw) raw
   in
-  let ok = note_outcome t q outcome in
+  let ok = note_outcome q outcome in
   if ok && not (outcome = Fifo.pushed_desc && q.q_max_loans > 0) then
     record_copy t len;
   ok
@@ -669,7 +698,7 @@ let push_one ?(amortized = false) t q raw =
       | Error _ -> false
     else push_plain ~amortized t q raw
   in
-  if pushed then t.s.via_channel_tx <- t.s.via_channel_tx + 1;
+  if pushed then Counters.bump t.s C.via_channel_tx;
   pushed
 
 (* Whether a frame of this size would enter the queue right now —
@@ -709,7 +738,7 @@ let transmit_standard t raw =
    netfront path instead: the fast path degrades to the baseline, it never
    drops or queues without bound. *)
 let route_overflow_standard t raw =
-  t.s.waiting_overflows <- t.s.waiting_overflows + 1;
+  Counters.bump t.s C.waiting_overflows;
   transmit_standard t raw
 
 let enqueue_waiting t q raw =
@@ -718,7 +747,7 @@ let enqueue_waiting t q raw =
     route_overflow_standard t raw
   else begin
     Queue.push raw q.waiting;
-    t.s.queued_to_waiting <- t.s.queued_to_waiting + 1;
+    Counters.bump t.s C.queued_to_waiting;
     (* Published through the shared descriptor so the peer knows freed
        space on this queue is worth a notification back to us. *)
     Fifo.set_producer_waiting q.out_fifo true
@@ -798,7 +827,7 @@ let qos_enqueue_frame t qs q sched ~key raw =
   | Qos.Policy.Pass ->
       if Qos.Drr.enqueue sched ~key ~weight:flow.Qos.Flow_table.f_weight ~len raw
       then begin
-        t.s.queued_to_waiting <- t.s.queued_to_waiting + 1;
+        Counters.bump t.s C.queued_to_waiting;
         Fifo.set_producer_waiting q.out_fifo true;
         qos_update_watermark t qs sched flow
       end
@@ -892,15 +921,11 @@ let qos_drain t qs q sched =
                 (List.map fst items)
             in
             let pushed_items, leftover = take_drop report.Fifo.pr_pushed items in
-            q.q_desc_tx <- q.q_desc_tx + report.Fifo.pr_desc;
-            t.s.desc_tx <- t.s.desc_tx + report.Fifo.pr_desc;
-            q.q_inline_tx <- q.q_inline_tx + report.Fifo.pr_inline;
-            t.s.inline_tx <- t.s.inline_tx + report.Fifo.pr_inline;
-            q.q_pool_fallbacks <- q.q_pool_fallbacks + report.Fifo.pr_fallbacks;
-            t.s.pool_fallbacks <- t.s.pool_fallbacks + report.Fifo.pr_fallbacks;
-            q.q_loan_tx <- q.q_loan_tx + report.Fifo.pr_loans;
-            t.s.loan_tx <- t.s.loan_tx + report.Fifo.pr_loans;
-            t.s.via_channel_tx <- t.s.via_channel_tx + report.Fifo.pr_pushed;
+            Counters.add q.q_counts C.desc_tx report.Fifo.pr_desc;
+            Counters.add q.q_counts C.inline_tx report.Fifo.pr_inline;
+            Counters.add q.q_counts C.pool_fallbacks report.Fifo.pr_fallbacks;
+            Counters.add q.q_counts C.loan_tx report.Fifo.pr_loans;
+            Counters.add t.s C.via_channel_tx report.Fifo.pr_pushed;
             pushed_total := !pushed_total + report.Fifo.pr_pushed;
             (* Per-frame charges and tenant dequeue hooks, attributing
                descriptor outcomes in push order: the first size-eligible
@@ -972,7 +997,7 @@ let drain_waiting t q =
    notification per burst, exactly like the legacy batch path. *)
 let qos_send_batch t qs q sched keyed_frames =
   (match keyed_frames with
-  | _ :: _ :: _ -> t.s.batches <- t.s.batches + 1
+  | _ :: _ :: _ -> Counters.bump t.s C.batches
   | _ -> ());
   List.iter
     (fun (key, raw) -> qos_enqueue_frame t qs q sched ~key raw)
@@ -1008,7 +1033,7 @@ let send_batch t q raws =
   | [ raw ] -> send_via_channel t q raw
   | raws when not p.Params.xenloop_batch_tx -> List.iter (send_via_channel t q) raws
   | raws ->
-      t.s.batches <- t.s.batches + 1;
+      Counters.bump t.s C.batches;
       (* Service the waiting list from the sending context first: leaving
          it to the event handler alone starves it behind this process's
          own CPU charges, and ordering only needs queued frames to leave
@@ -1126,12 +1151,11 @@ let can_loan q pool e =
   q.q_max_loans > 0
   && Payload_pool.outstanding_loans pool + chunk_count e <= q.q_max_loans
 
-let loan_chunks t q pool e =
+let loan_chunks q pool e =
   for i = 0 to chunk_count e - 1 do
     Payload_pool.loan pool (chunk_slot e i)
   done;
-  q.q_loan_rx <- q.q_loan_rx + 1;
-  t.s.loan_rx <- t.s.loan_rx + 1
+  Counters.bump q.q_counts C.loan_rx
 
 (* Copy-out: on a pre-loan channel this is the plain pooled receive,
    modelled as consuming the slot in place (no copy charged or recorded);
@@ -1139,8 +1163,7 @@ let loan_chunks t q pool e =
    whose one real copy is recorded. *)
 let note_copy_out t q len =
   if q.q_max_loans > 0 then begin
-    q.q_loan_credit_stalls <- q.q_loan_credit_stalls + 1;
-    t.s.loan_credit_stalls <- t.s.loan_credit_stalls + 1;
+    Counters.bump q.q_counts C.loan_credit_stalls;
     record_copy t len
   end
 
@@ -1159,8 +1182,7 @@ let make_release t q pool e ~len =
   let finish ~copied =
     if not !released then begin
       released := true;
-      q.q_loan_returns <- q.q_loan_returns + 1;
-      t.s.loan_returns <- t.s.loan_returns + 1;
+      Counters.bump q.q_counts C.loan_returns;
       if copied then record_copy t len;
       for i = 0 to chunk_count e - 1 do
         Payload_pool.release pool (chunk_slot e i)
@@ -1181,8 +1203,8 @@ let make_release t q pool e ~len =
 let count_rx t e parsed =
   (match parsed with
   | Ok _ ->
-      (match e with Fifo.Jumbo _ -> t.s.jumbo_rx <- t.s.jumbo_rx + 1 | _ -> ());
-      t.s.via_channel_rx <- t.s.via_channel_rx + 1
+      (match e with Fifo.Jumbo _ -> Counters.bump t.s C.jumbo_rx | _ -> ());
+      Counters.bump t.s C.via_channel_rx
   | Error _ -> ());
   parsed
 
@@ -1222,10 +1244,10 @@ let consume_app_desc t q pool e ~slot ~off ~len ~dst_port =
     let src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be hdr 0) in
     let src_port = Bytes.get_uint16_be hdr 4 in
     let plen = len - 8 in
-    t.s.via_channel_rx <- t.s.via_channel_rx + 1;
+    Counters.bump t.s C.via_channel_rx;
     match t.app_view_handler with
     | Some handler when can_loan q pool e ->
-        loan_chunks t q pool e;
+        loan_chunks q pool e;
         let payload = Payload_pool.read pool ~slot ~off:(off + 8) ~len:plen in
         handler ~src_ip ~src_port ~dst_port payload
           ~release:(make_release t q pool e ~len:plen)
@@ -1253,7 +1275,7 @@ let receive_pooled t q pool e ~bookkeeping =
   | Fifo.Jumbo { j_len; j_chunks; _ } when not intact ->
       (* Return the slots, account the drop loudly, keep the channel. *)
       free_chunks pool e;
-      t.s.jumbo_drops <- t.s.jumbo_drops + 1;
+      Counters.bump t.s C.jumbo_drops;
       trace t Sim.Trace.Channel
         "dom%d: dropped corrupt jumbo on q%d (len=%d chunk-sum=%d chunks=%d)"
         (my_domid t) q.q_index j_len
@@ -1266,7 +1288,7 @@ let receive_pooled t q pool e ~bookkeeping =
         (* Loaned delivery: the socket layer borrows the slots and the
            free-ring return waits for the application's release — no copy
            charged, none recorded. *)
-        loan_chunks t q pool e;
+        loan_chunks q pool e;
         let parsed = parse_pooled t pool e ~flags in
         let release = make_release t q pool e ~len in
         match parsed with
@@ -1345,7 +1367,7 @@ let force_return_channel_loans t ch =
       | Some pool ->
           let n = Payload_pool.force_return_loans pool in
           if n > 0 then begin
-            t.s.loans_force_returned <- t.s.loans_force_returned + n;
+            Counters.add t.s C.loans_force_returned n;
             trace t Sim.Trace.Teardown
               "dom%d: force-returned %d in-flight loan(s) on q%d to dom%d"
               (my_domid t) n q.q_index ch.peer_domid
@@ -1374,7 +1396,7 @@ let reclaim_stranded t ch q =
        | Some e, Some pool -> (
            match chunks_valid pool e with
            | false | (exception Corrupt_channel) ->
-               t.s.jumbo_drops <- t.s.jumbo_drops + 1
+               Counters.bump t.s C.jumbo_drops
            | true -> (
                let raw = gather pool e in
                match e with
@@ -1471,7 +1493,7 @@ let retire t ch ~backlog ~tell_peer =
       ch.queues;
   force_return_channel_loans t ch;
   ch.cleanup ();
-  t.s.channels_torn_down <- t.s.channels_torn_down + 1
+  Counters.bump t.s C.channels_torn_down
 
 (* Unregister [ch] if it is still the channel registered for
    [peer_domid], before retiring it (retirement yields the CPU).  An
@@ -1491,7 +1513,7 @@ let unregister t peer_domid ch =
    pool and their cleanup, so they go together or not at all. *)
 let quarantine t peer_domid ch =
   if unregister t peer_domid ch then begin
-    t.s.corrupt_channels <- t.s.corrupt_channels + 1;
+    Counters.bump t.s C.corrupt_channels;
     trace t Sim.Trace.Teardown "dom%d: quarantining corrupt channel to dom%d"
       (my_domid t) peer_domid;
     retire t ch ~backlog:Drop ~tell_peer:true
@@ -1579,7 +1601,7 @@ let evict_channel t peer_domid =
       in
       Hashtbl.replace t.peers peer_domid (Failed_until deadline);
       bump_epoch t;
-      t.s.channels_evicted <- t.s.channels_evicted + 1;
+      Counters.bump t.s C.channels_evicted;
       trace t Sim.Trace.Teardown "dom%d: evicting channel to dom%d (LRU)"
         (my_domid t) peer_domid;
       retire t ch ~backlog:Flush ~tell_peer:true;
@@ -1719,7 +1741,7 @@ let poll_for_more t q =
     let stop = ref false in
     while not (!got_work || !stop) do
       Sim.Engine.sleep interval;
-      t.s.poll_rounds <- t.s.poll_rounds + 1;
+      Counters.bump t.s C.poll_rounds;
       if not (Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo) then
         (* Never poll across a teardown: the disengage path must run. *)
         stop := true
@@ -1780,7 +1802,7 @@ let start_poller t peer_domid ch q =
               quarantine t peer_domid ch
           | 0 ->
               incr idle;
-              t.s.poll_rounds <- t.s.poll_rounds + 1;
+              Counters.bump t.s C.poll_rounds;
               let span =
                 if !idle <= p.Params.xenloop_poll_spin_iters then
                   p.Params.xenloop_poll_spin
@@ -1924,7 +1946,7 @@ let mark_bootstrap_failed t peer_domid =
       (params t).Params.xenloop_bootstrap_cooldown
   in
   Hashtbl.replace t.peers peer_domid (Failed_until deadline);
-  t.s.bootstrap_failures <- t.s.bootstrap_failures + 1;
+  Counters.bump t.s C.bootstrap_failures;
   bump_epoch t;
   trace t Sim.Trace.Bootstrap "dom%d: bootstrap to dom%d failed; cooling down"
     (my_domid t) peer_domid
@@ -2106,18 +2128,9 @@ let listener_create t ~peer_domid ~peer_mac ~peer_queues ~peer_zc ~peer_loans
                 q_inline_max = inline_max;
                 q_busy = false;
                 q_tx_draining = false;
-                q_notifies_sent = 0;
-                q_notifies_suppressed = 0;
-                q_steered = 0;
-                q_desc_tx = 0;
-                q_inline_tx = 0;
-                q_pool_fallbacks = 0;
+                q_counts = Counters.scope ~parent:t.s C.registry;
                 q_max_loans = max_loans;
                 q_gso_max = gso_max;
-                q_loan_tx = 0;
-                q_loan_rx = 0;
-                q_loan_returns = 0;
-                q_loan_credit_stalls = 0;
               }
             in
             (match q.q_tx_pool with
@@ -2173,7 +2186,7 @@ let listener_create t ~peer_domid ~peer_mac ~peer_queues ~peer_zc ~peer_loans
           in
           let ba = { ba_channel = ch; retries = 0 } in
           Hashtbl.replace t.peers peer_domid (Bootstrapping (Awaiting_ack ba));
-          t.s.bootstraps_started <- t.s.bootstraps_started + 1;
+          Counters.bump t.s C.bootstraps_started;
           trace t Sim.Trace.Bootstrap "dom%d: offering %d queue(s) to dom%d"
             domid nq peer_domid;
           let msg = Proto.Create_channel { listener_domid = domid; queues = grants } in
@@ -2206,7 +2219,7 @@ let start_bootstrap t ~peer_domid ~peer_mac =
     t.next_token <- token + 1;
     Hashtbl.replace t.peers peer_domid
       (Bootstrapping (Requested_from_listener token));
-    t.s.bootstraps_started <- t.s.bootstraps_started + 1;
+    Counters.bump t.s C.bootstraps_started;
     send_ctrl t ~dst_mac:peer_mac
       (Proto.Request_channel
          {
@@ -2370,18 +2383,9 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
                             q_inline_max;
                             q_busy = false;
                             q_tx_draining = false;
-                            q_notifies_sent = 0;
-                            q_notifies_suppressed = 0;
-                            q_steered = 0;
-                            q_desc_tx = 0;
-                            q_inline_tx = 0;
-                            q_pool_fallbacks = 0;
+                            q_counts = Counters.scope ~parent:t.s C.registry;
                             q_max_loans;
                             q_gso_max;
-                            q_loan_tx = 0;
-                            q_loan_rx = 0;
-                            q_loan_returns = 0;
-                            q_loan_credit_stalls = 0;
                           }
                         in
                         (match q.q_tx_pool with
@@ -2415,7 +2419,7 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
           in
           Hashtbl.replace t.peers listener_domid (Active ch);
           bump_epoch t;
-          t.s.channels_established <- t.s.channels_established + 1;
+          Counters.bump t.s C.channels_established;
           trace t Sim.Trace.Channel
             "dom%d: channel to dom%d connected (connector, %d queue(s))" domid
             listener_domid (Array.length queues);
@@ -2461,7 +2465,7 @@ let softstate_expire t =
       && Sim.Time.(Sim.Engine.now (engine t) >= Sim.Time.add t.last_announce ttl)
     then begin
       let evicted = Mapping_table.size t.mapping in
-      t.s.softstate_evictions <- t.s.softstate_evictions + evicted;
+      Counters.add t.s C.softstate_evictions evicted;
       trace t Sim.Trace.Teardown
         "dom%d: soft-state TTL expired; evicting %d mapping entr%s" (my_domid t)
         evicted
@@ -2483,7 +2487,7 @@ let on_ctrl_packet t (packet : P.t) =
         | Ok (Proto.Announce entries) -> on_announce t entries
         | Ok (Proto.Delta_announce { da_base; da_epoch; da_full; da_joins; da_leaves })
           ->
-            t.s.delta_announces <- t.s.delta_announces + 1;
+            Counters.bump t.s C.delta_announces;
             if da_full then begin
               (* Resync: our acked base fell out of Dom0's delta log (or we
                  just advertised) — the joins are the complete list, so this
@@ -2577,7 +2581,7 @@ let on_ctrl_packet t (packet : P.t) =
                 ba.ba_channel.connected <- true;
                 Hashtbl.replace t.peers connector_domid (Active ba.ba_channel);
                 bump_epoch t;
-                t.s.channels_established <- t.s.channels_established + 1;
+                Counters.bump t.s C.channels_established;
                 trace t Sim.Trace.Channel
                   "dom%d: channel to dom%d connected (listener, %d queue(s))"
                   (my_domid t) connector_domid
@@ -2609,18 +2613,17 @@ let frame_for_queue t q (packet : P.t) =
   let jumbo = jumbo_eligible q (P.wire_length packet) in
   let raw =
     if jumbo then begin
-      t.s.csum_elided <- t.s.csum_elided + 1;
+      Counters.bump t.s C.csum_elided;
       Netcore.Codec.serialize ~csum:false packet
     end
     else Netcore.Codec.serialize packet
   in
   if (not jumbo) && Bytes.length raw > Fifo.max_packet q.out_fifo then begin
-    t.s.too_big_fallback <- t.s.too_big_fallback + 1;
+    Counters.bump t.s C.too_big_fallback;
     `Standard_path
   end
   else begin
-    q.q_steered <- q.q_steered + 1;
-    t.s.steered_packets <- t.s.steered_packets + 1;
+    Counters.bump q.q_counts C.steered_packets;
     `Channel (q, raw, packet)
   end
 
@@ -2676,11 +2679,11 @@ let classify t (packet : P.t) =
       | Some { ce_epoch; ce_decision } when ce_epoch = t.epoch -> (
           match ce_decision with
           | Cache_standard ->
-              t.s.flow_cache_hits <- t.s.flow_cache_hits + 1;
+              Counters.bump t.s C.flow_cache_hits;
               `Standard_path
           | Cache_queue (ch, q)
             when ch.connected && Fifo.is_active q.out_fifo ->
-              t.s.flow_cache_hits <- t.s.flow_cache_hits + 1;
+              Counters.bump t.s C.flow_cache_hits;
               (* LRU timestamp: a plain field store of the engine's already
                  boxed clock — no allocation on the fast path. *)
               ch.ch_last_active <- Sim.Engine.now (engine t);
@@ -2688,11 +2691,11 @@ let classify t (packet : P.t) =
           | Cache_queue _ ->
               (* The channel died since this was cached (the epoch bump and
                  this packet raced); recompute. *)
-              t.s.flow_cache_misses <- t.s.flow_cache_misses + 1;
+              Counters.bump t.s C.flow_cache_misses;
               Hashtbl.remove t.flow_cache key;
               classify_slow t packet key)
       | Some _ | None ->
-          t.s.flow_cache_misses <- t.s.flow_cache_misses + 1;
+          Counters.bump t.s C.flow_cache_misses;
           classify_slow t packet key)
 
 (* The transmit hook sees whole bursts (all fragments of one datagram);
@@ -2801,10 +2804,9 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
                         then begin
                           let p = params t in
                           Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
-                          q.q_steered <- q.q_steered + 1;
-                          t.s.steered_packets <- t.s.steered_packets + 1;
-                          count_desc_tx t q;
-                          t.s.via_channel_tx <- t.s.via_channel_tx + 1;
+                          Counters.bump q.q_counts C.steered_packets;
+                          count_desc_tx q;
+                          Counters.bump t.s C.via_channel_tx;
                           notify_peer t q;
                           true
                         end
@@ -2830,12 +2832,11 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
               in
               let raw = Netcore.Codec.serialize frame in
               if Bytes.length raw > Fifo.max_packet q.out_fifo then begin
-                t.s.too_big_fallback <- t.s.too_big_fallback + 1;
+                Counters.bump t.s C.too_big_fallback;
                 false
               end
               else begin
-                q.q_steered <- q.q_steered + 1;
-                t.s.steered_packets <- t.s.steered_packets + 1;
+                Counters.bump q.q_counts C.steered_packets;
                 (match (t.qos, q.q_sched) with
                 | Some qs, Some sched -> qos_send_batch t qs q sched [ (key, raw) ]
                 | _ -> send_via_channel t q raw);
@@ -3144,42 +3145,7 @@ let create ~domain ~stack ~current_machine ?(fifo_k = Fifo.default_k) ?max_queue
       app_handler = None;
       app_view_handler = None;
       trace;
-      s =
-        {
-          via_channel_tx = 0;
-          via_channel_rx = 0;
-          queued_to_waiting = 0;
-          waiting_overflows = 0;
-          too_big_fallback = 0;
-          channels_established = 0;
-          channels_torn_down = 0;
-          bootstraps_started = 0;
-          corrupt_channels = 0;
-          notifies_sent = 0;
-          notifies_suppressed = 0;
-          batches = 0;
-          poll_rounds = 0;
-          steered_packets = 0;
-          flow_cache_hits = 0;
-          flow_cache_misses = 0;
-          desc_tx = 0;
-          inline_tx = 0;
-          pool_fallbacks = 0;
-          loan_tx = 0;
-          loan_rx = 0;
-          loan_returns = 0;
-          loan_credit_stalls = 0;
-          loans_force_returned = 0;
-          bootstrap_failures = 0;
-          softstate_evictions = 0;
-          channels_evicted = 0;
-          delta_announces = 0;
-          jumbo_tx = 0;
-          jumbo_rx = 0;
-          jumbo_chunks_tx = 0;
-          jumbo_drops = 0;
-          csum_elided = 0;
-        };
+      s = Counters.scope C.registry;
       loaded = true;
       next_token = 0;
       last_announce = Sim.Engine.now (Stack.engine stack);

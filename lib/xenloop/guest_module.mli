@@ -27,101 +27,115 @@
 
 type t
 
+(** {1 Counters (DESIGN.md §16)}
+
+    One registry holds every counter the module keeps; the channel's
+    queues count in scopes that roll up into the module's, so each event
+    is counted once and the module total survives channel retirement. *)
+
 type stats = {
-  mutable via_channel_tx : int;
-  mutable via_channel_rx : int;
-  mutable queued_to_waiting : int;
-  mutable waiting_overflows : int;
+  via_channel_tx : int;
+  via_channel_rx : int;
+  queued_to_waiting : int;
+  waiting_overflows : int;
       (** frames rerouted through the standard netfront path because their
           queue's waiting list was already at
           {!Hypervisor.Params.xenloop_waiting_list_max} *)
-  mutable too_big_fallback : int;
-  mutable channels_established : int;
-  mutable channels_torn_down : int;
-  mutable bootstraps_started : int;
-  mutable corrupt_channels : int;
+  too_big_fallback : int;
+  channels_established : int;
+  channels_torn_down : int;
+  bootstraps_started : int;
+  corrupt_channels : int;
       (** channels torn down because the peer corrupted the shared FIFO
           state — a misbehaving or malicious co-resident guest must never
           crash this one, only lose its fast path *)
-  mutable notifies_sent : int;
+  notifies_sent : int;
       (** event-channel doorbells actually rung (one hypercall each) *)
-  mutable notifies_suppressed : int;
+  notifies_suppressed : int;
       (** doorbells elided because the peer's consumer-active flag showed it
           already draining ({!Hypervisor.Params.xenloop_notify_suppression}) *)
-  mutable batches : int;
+  batches : int;
       (** multi-frame bursts pushed under one amortized charge and a single
           trailing notification ({!Hypervisor.Params.xenloop_batch_tx}) *)
-  mutable poll_rounds : int;
+  poll_rounds : int;
       (** NAPI-style receiver poll iterations inside the event handler
           ({!Hypervisor.Params.xenloop_poll_window}) *)
-  mutable steered_packets : int;
+  steered_packets : int;
       (** packets placed on a specific queue by the flow hash (hook steals
           plus transport-shortcut payloads) *)
-  mutable flow_cache_hits : int;
-  mutable flow_cache_misses : int;
+  flow_cache_hits : int;
+  flow_cache_misses : int;
       (** per-flow routing-decision cache in the transmit hook; every
           soft-state replacement or channel set change invalidates it
           wholesale via an epoch counter *)
-  mutable desc_tx : int;
+  desc_tx : int;
       (** frames sent as payload-pool descriptors — one copy end to end
           ({!Hypervisor.Params.xenloop_zerocopy}, DESIGN.md §7) *)
-  mutable inline_tx : int;
+  inline_tx : int;
       (** frames sent on the inline copy path (at or below the negotiated
           threshold, non-zero-copy channels, and pool-exhaustion
           degradations) *)
-  mutable pool_fallbacks : int;
+  pool_fallbacks : int;
       (** descriptor-eligible frames degraded to the inline path because
           the payload pool had no free slot *)
-  mutable loan_tx : int;
+  loan_tx : int;
       (** descriptors pushed onto loan-negotiated queues — loan-eligible at
           the receiver ({!Hypervisor.Params.xenloop_loans}, DESIGN.md §11) *)
-  mutable loan_rx : int;
+  loan_rx : int;
       (** received descriptors delivered as borrowed pool-slot views (the
           slot stays out of the free ring until the consumer releases it) *)
-  mutable loan_returns : int;
+  loan_returns : int;
       (** borrowed slots handed back by the consumer (including those that
           degenerated into a copy, e.g. out-of-order TCP holds) *)
-  mutable loan_credit_stalls : int;
+  loan_credit_stalls : int;
       (** received descriptors degraded to copy-out because the negotiated
           loan credit was exhausted (a slow consumer pinning the pool) *)
-  mutable loans_force_returned : int;
+  loans_force_returned : int;
       (** borrowed slots reclaimed at channel teardown (migration, peer
           loss, unload) before the pool pages were unmapped *)
-  mutable bootstrap_failures : int;
+  bootstrap_failures : int;
       (** peers marked failed after a bootstrap handshake exhausted its
           retries (listener Create retries or connector ack wait); the
           peer sits in a cooldown ({!Hypervisor.Params.xenloop_bootstrap_cooldown})
           before any re-attempt *)
-  mutable softstate_evictions : int;
+  softstate_evictions : int;
       (** mapping-table entries dropped because no Dom0 announcement
           arrived within {!Hypervisor.Params.xenloop_softstate_ttl} —
           the soft-state expiry of paper Sect. 3.2 *)
-  mutable channels_evicted : int;
+  channels_evicted : int;
       (** Active channels torn down by the bounded-state policy (the
           per-guest cap {!Hypervisor.Params.xenloop_channel_cap} or the
           idle LRU {!Hypervisor.Params.xenloop_channel_idle_ttl},
           DESIGN.md §12); grant-balanced, with in-flight traffic flushed
           over netfront exactly once *)
-  mutable delta_announces : int;
+  delta_announces : int;
       (** versioned delta announcements received from Dom0 (including
           full resyncs and keep-alive heartbeats, DESIGN.md §12) *)
-  mutable jumbo_tx : int;
+  jumbo_tx : int;
       (** jumbo descriptors pushed — one 64 KiB-class TCP super-frame
           carried as a single multi-slot scatter descriptor
           ({!Hypervisor.Params.xenloop_gso}, DESIGN.md §15) *)
-  mutable jumbo_rx : int;
+  jumbo_rx : int;
       (** jumbo descriptors reassembled and delivered whole (GRO) *)
-  mutable jumbo_chunks_tx : int;
+  jumbo_chunks_tx : int;
       (** pool slots the pushed jumbo descriptors carried in total *)
-  mutable jumbo_drops : int;
+  jumbo_drops : int;
       (** received jumbo descriptors dropped because their scatter-length
           vector was corrupt (chaos Jumbo_truncate): the slots are
           returned and the frame is lost loudly, never mis-delivered *)
-  mutable csum_elided : int;
+  csum_elided : int;
       (** frames serialized without computing a transport checksum
           because they were bound for a gso channel — the jumbo
           descriptor's [csum_ok] flag vouches for them instead *)
 }
+
+val stats : t -> stats
+(** The module totals as a record — a view built from {!counters} on
+    each call, kept for callers that name fields. *)
+
+val counters : t -> Sim.Counters.snapshot
+(** Every module counter, in declaration order (the [stats] field names;
+    a counter added later appears here without touching any caller). *)
 
 val create :
   domain:Hypervisor.Domain.t ->
@@ -172,7 +186,6 @@ val unload : t -> unit
 
 val is_loaded : t -> bool
 
-val stats : t -> stats
 val mapping_size : t -> int
 val connected_peer_ids : t -> int list
 val has_channel_with : t -> domid:int -> bool
@@ -228,23 +241,12 @@ val queue_count : t -> domid:int -> int
 (** Negotiated queue count of the active channel to this peer; 0 when no
     channel is established. *)
 
-type queue_stat = {
-  qs_notifies_sent : int;
-  qs_notifies_suppressed : int;
-  qs_steered : int;
-  qs_waiting : int;
-  qs_desc_tx : int;
-  qs_inline_tx : int;
-  qs_pool_fallbacks : int;
-  qs_loan_tx : int;
-  qs_loan_rx : int;
-  qs_loan_returns : int;
-  qs_loan_credit_stalls : int;
-}
-
-val queue_stats : t -> domid:int -> queue_stat array
+val queue_counters : t -> domid:int -> Sim.Counters.snapshot array
 (** Per-queue counters of the active channel to this peer (index = queue
-    index); [[||]] when no channel is established. *)
+    index); [[||]] when no channel is established.  Same counter names as
+    {!counters}; the ones counted per queue are the notifications,
+    [steered_packets], the descriptor/inline/fallback split and the loan
+    counts — the rest stay at zero here. *)
 
 val zerocopy_active : t -> domid:int -> bool
 (** Whether the active channel to this peer negotiated payload pools

@@ -178,6 +178,22 @@ let test_xenloop_bulk_copy_budget () =
     (Printf.sprintf "%.3f host copies per delivered byte (bound 4.5)" copies)
     true (copies <= 4.5)
 
+(* A counter bump at queue level walks up to the module scope; either
+   level is plain array mutation. *)
+let test_counter_bump_zero_alloc () =
+  let module C = Sim.Counters in
+  let reg = C.registry "alloc" in
+  let a = C.counter reg "a" and b = C.counter reg "b" in
+  let m = C.scope reg in
+  let q = C.scope ~parent:m reg in
+  let per =
+    minor_per_iter ~iters:100_000 (fun () ->
+        C.bump q a;
+        C.add q b 3;
+        C.bump m a)
+  in
+  check_words "counter bumps" ~bound:0.0 per
+
 let suites =
   [
     ( "sim.alloc",
@@ -193,5 +209,7 @@ let suites =
           test_engine_timer_fire_slack;
         Alcotest.test_case "xenloop bulk stream within copy budget" `Quick
           test_xenloop_bulk_copy_budget;
+        Alcotest.test_case "counter bumps allocate nothing" `Quick
+          test_counter_bump_zero_alloc;
       ] );
   ]

@@ -428,6 +428,37 @@ let test_reactive_discovery_watch () =
       Alcotest.(check int) "withdrawal noticed without a period" 1
         (List.length (Discovery.willing_guests discovery)))
 
+(* [xenloopsim chaos --json] prints [Soak.to_json ~digests:true]: it must
+   parse, and list one digest per run. *)
+let test_soak_json_lists_every_run () =
+  let cases =
+    [
+      {
+        Soak.c_name = "xenloop-duo/baseline";
+        c_scenario = Harness.Xenloop_duo;
+        c_faults = [];
+        c_loans = false;
+        c_evictions = false;
+        c_qos = false;
+        c_gso = false;
+      };
+    ]
+  in
+  let s = Soak.run ~cases ~seed:42 ~iters:2 () in
+  match Sim.Json.of_string (Sim.Json.to_string (Soak.to_json ~digests:true s)) with
+  | Error e -> Alcotest.fail e
+  | Ok doc ->
+      let runs = Sim.Json.number doc [ "runs" ] in
+      Alcotest.(check (result (float 0.0) string)) "runs" (Ok 2.0) runs;
+      (match Sim.Json.path doc [ "cases" ] with
+      | Ok (Sim.Json.Arr l) ->
+          Alcotest.(check (result (float 0.0) string)) "one case per run" runs
+            (Ok (float_of_int (List.length l)))
+      | _ -> Alcotest.fail "no cases array");
+      Alcotest.(check (result (float 0.0) string)) "recovery sample count"
+        (Ok (float_of_int s.Soak.s_recovery_n))
+        (Sim.Json.number doc [ "recovery_p99_us_n" ])
+
 let suites =
   [
     ( "chaos.harness",
@@ -436,6 +467,8 @@ let suites =
         Alcotest.test_case "different seed, different plan" `Quick
           test_different_seed_different_plan;
         Alcotest.test_case "soak subset is clean" `Quick test_soak_subset_clean;
+        Alcotest.test_case "soak json lists every run" `Quick
+          test_soak_json_lists_every_run;
         Alcotest.test_case "loans-on chaos run is clean" `Quick
           test_loans_chaos_clean;
         Alcotest.test_case "loans-on soak subset is clean" `Quick

@@ -609,6 +609,162 @@ let test_mailbox_blocks_until_send () =
   Alcotest.(check int64) "received at 5ms" 5_000_000L (Sim.Time.instant_to_ns !stamp)
 
 (* ------------------------------------------------------------------ *)
+(* Json *)
+
+module J = Sim.Json
+
+(* Strings lean on the bytes an escaper can get wrong: quotes,
+   backslashes, control bytes, DEL and high bytes. *)
+let gen_json_string =
+  QCheck.Gen.(
+    string_size ~gen:(frequency [ (3, char); (2, oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\031'; '\127' ]) ])
+      (0 -- 12))
+
+let gen_json_number =
+  QCheck.Gen.(
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        map (fun f -> if Float.is_finite f then f else -0.5) float;
+        map2 (fun m e -> m *. (10.0 ** float_of_int e)) (float_range (-10.0) 10.0)
+          (int_range (-300) 300);
+      ])
+
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let scalar =
+             oneof
+               [
+                 return J.Null;
+                 map (fun b -> J.Bool b) bool;
+                 map (fun f -> J.Num f) gen_json_number;
+                 map (fun s -> J.Str s) gen_json_string;
+               ]
+           in
+           if n <= 1 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 (1, map (fun l -> J.Arr l) (list_size (0 -- 4) (self (n / 3))));
+                 ( 1,
+                   map
+                     (fun l -> J.Obj l)
+                     (list_size (0 -- 4) (pair gen_json_string (self (n / 3)))) );
+               ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"print then parse is the identity" ~count:500
+    (QCheck.make ~print:J.to_string gen_json)
+    (fun v -> J.of_string (J.to_string v) = Ok v)
+
+let test_json_rejects () =
+  let rejected doc what =
+    match J.of_string doc with
+    | Ok _ -> Alcotest.failf "accepted %S" doc
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S rejected for %s (%s)" doc what e)
+          true
+          (String.length e >= String.length what
+          && String.sub e 0 (String.length what) = what)
+  in
+  rejected {|{"a": 1} x|} "trailing characters";
+  rejected {|[1, 2] ]|} "trailing characters";
+  rejected {|{"a": "abc|} "unterminated string";
+  rejected {|"tab\|} "unterminated string";
+  rejected {|{"a" 1}|} "expected ':'";
+  rejected {|[1, 2|} "expected ']'";
+  rejected "1e999" "bad number";
+  List.iter
+    (fun f ->
+      Alcotest.check_raises "non-finite number refused"
+        (Invalid_argument "Json.to_string: non-finite number") (fun () ->
+          ignore (J.to_string (J.Arr [ J.Num 1.0; J.Num f ]))))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_json_fixed_and_layout () =
+  Alcotest.(check bool) "fixed rounds like %.1f" true (J.fixed 1 12.345 = J.Num 12.3);
+  Alcotest.(check bool) "fixed of infinity is null" true (J.fixed 2 Float.infinity = J.Null);
+  Alcotest.(check string) "scalar members stay on one line"
+    {|{"a": 1, "b": -2.5e-07, "c": "q\"\u0001"}|}
+    (J.to_string (J.Obj [ ("a", J.int 1); ("b", J.Num (-2.5e-7)); ("c", J.Str "q\"\001") ]));
+  Alcotest.(check string) "flat containers inline, nested ones break"
+    "{\n  \"a\": 1,\n  \"b\": [1.5, \"x\"]\n}"
+    (J.to_string (J.Obj [ ("a", J.int 1); ("b", J.Arr [ J.Num 1.5; J.Str "x" ]) ]))
+
+let test_json_path () =
+  let doc =
+    match J.of_string {|{"engine_bench": {"events_per_sec": 5, "name": "x"}}|} with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (result (float 0.0) string)) "present key" (Ok 5.0)
+    (J.number doc [ "engine_bench"; "events_per_sec" ]);
+  Alcotest.(check (result (float 0.0) string)) "renamed key names its path"
+    (Error "engine_bench.sim_events_per_sec: no such key")
+    (J.number doc [ "engine_bench"; "sim_events_per_sec" ]);
+  Alcotest.(check (result (float 0.0) string)) "missing section names itself"
+    (Error "mesh_sweep: no such key")
+    (J.number doc [ "mesh_sweep"; "channels_per_sec" ]);
+  Alcotest.(check (result (float 0.0) string)) "a string is not a number"
+    (Error "engine_bench.name: not a number")
+    (J.number doc [ "engine_bench"; "name" ])
+
+(* ------------------------------------------------------------------ *)
+(* Counters *)
+
+module C = Sim.Counters
+
+let test_counters_rollup () =
+  let reg = C.registry "demo" in
+  let tx = C.counter reg "tx" and rx = C.counter reg "rx" in
+  let m = C.scope reg in
+  let q0 = C.scope ~parent:m reg and q1 = C.scope ~parent:m reg in
+  C.bump q0 tx;
+  C.add q1 tx 4;
+  C.bump m rx;
+  Alcotest.(check int) "queue 0 sees its own" 1 (C.get q0 tx);
+  Alcotest.(check int) "queue 1 sees its own" 4 (C.get q1 tx);
+  Alcotest.(check int) "module sees both queues" 5 (C.get m tx);
+  Alcotest.(check int) "module-only bump stays there" 0 (C.get q0 rx);
+  Alcotest.(check (list (pair string int))) "snapshot in declaration order"
+    [ ("tx", 5); ("rx", 1) ] (C.snapshot m);
+  let before = C.snapshot m in
+  C.add q0 tx 2;
+  Alcotest.(check (list (pair string int))) "diff" [ ("tx", 2); ("rx", 0) ]
+    (C.diff (C.snapshot m) before);
+  Alcotest.(check (list (pair string int))) "sum" [ ("tx", 12); ("rx", 2) ]
+    (C.sum [ C.snapshot m; before ]);
+  Alcotest.(check (list (pair string int))) "sum of none" [] (C.sum []);
+  Alcotest.(check int) "value by name" 7 (C.value (C.snapshot m) "tx");
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Counters.value: no counter \"tz\"") (fun () ->
+      ignore (C.value (C.snapshot m) "tz"))
+
+let test_counters_schema_guards () =
+  let reg = C.registry "demo" in
+  let _ = C.counter reg "a" in
+  Alcotest.check_raises "duplicate name"
+    (Invalid_argument "Counters.counter: demo.a declared twice") (fun () ->
+      ignore (C.counter reg "a"));
+  let s = C.scope reg in
+  Alcotest.check_raises "declared after a scope"
+    (Invalid_argument "Counters.counter: demo.b declared after a scope was made")
+    (fun () -> ignore (C.counter reg "b"));
+  let other = C.registry "other" in
+  Alcotest.check_raises "parent from another registry"
+    (Invalid_argument "Counters.scope: parent counts demo, not other") (fun () ->
+      ignore (C.scope ~parent:s other));
+  let reg2 = C.registry "two" in
+  let _ = C.counter reg2 "z" in
+  Alcotest.check_raises "diff across schemas"
+    (Invalid_argument "Counters.diff: snapshots list different counters")
+    (fun () -> ignore (C.diff (C.snapshot s) (C.snapshot (C.scope reg2))))
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -645,6 +801,18 @@ let suites =
         Alcotest.test_case "percentiles" `Quick test_stats_percentile;
       ]
       @ qsuite [ prop_stats_mean_matches_naive; prop_stats_minmax ] );
+    ( "sim.json",
+      [
+        Alcotest.test_case "rejects malformed input" `Quick test_json_rejects;
+        Alcotest.test_case "fixed decimals and layout" `Quick test_json_fixed_and_layout;
+        Alcotest.test_case "path lookup names the missing key" `Quick test_json_path;
+      ]
+      @ qsuite [ prop_json_roundtrip ] );
+    ( "sim.counters",
+      [
+        Alcotest.test_case "queue scopes roll up" `Quick test_counters_rollup;
+        Alcotest.test_case "schema guards" `Quick test_counters_schema_guards;
+      ] );
     ( "sim.series",
       [
         Alcotest.test_case "insertion order" `Quick test_series_order;

@@ -16,6 +16,9 @@ let modules_of duo =
   | [ m1; m2 ] -> (m1, m2)
   | _ -> Alcotest.fail "expected two xenloop modules"
 
+(* Packets the flow hash put on this queue, from a per-queue snapshot. *)
+let steered q = Sim.Counters.value q "steered_packets"
+
 let client_ip duo = Stack.ip_addr duo.Setup.client.Scenarios.Endpoint.stack
 
 (* Smallest source port >= [from] whose flow lands on queue [want]. *)
@@ -48,7 +51,7 @@ let test_handshake_negotiates_min () =
       Alcotest.(check int) "server negotiated down to 1" 1
         (Gm.queue_count m2 ~domid:1);
       Alcotest.(check int) "a single queue's stats" 1
-        (Array.length (Gm.queue_stats m1 ~domid:2));
+        (Array.length (Gm.queue_counters m1 ~domid:2));
       let before = (Gm.stats m1).Gm.via_channel_tx in
       let r =
         Workloads.Netperf.udp_rr ~client ~server ~dst:duo.Setup.server_ip
@@ -67,7 +70,7 @@ let test_symmetric_default_negotiates_full () =
       Alcotest.(check int) "client side" expect (Gm.queue_count m1 ~domid:2);
       Alcotest.(check int) "server side" expect (Gm.queue_count m2 ~domid:1);
       Alcotest.(check int) "per-queue stats array" expect
-        (Array.length (Gm.queue_stats m1 ~domid:2)))
+        (Array.length (Gm.queue_counters m1 ~domid:2)))
 
 let test_flow_to_queue_determinism () =
   let duo = Setup.build Setup.Xenloop_path in
@@ -123,7 +126,7 @@ let test_flow_to_queue_determinism () =
         | Ok s -> s
         | Error _ -> Alcotest.fail "bind"
       in
-      let before = Gm.queue_stats m1 ~domid:2 in
+      let before = Gm.queue_counters m1 ~domid:2 in
       for _ = 1 to 3 do
         Netstack.Udp.sendto sock_a ~dst ~dst_port:905 (Bytes.make 100 'a');
         Netstack.Udp.sendto sock_b ~dst ~dst_port:905 (Bytes.make 100 'b')
@@ -136,10 +139,10 @@ let test_flow_to_queue_determinism () =
         in
         ()
       done;
-      let after = Gm.queue_stats m1 ~domid:2 in
+      let after = Gm.queue_counters m1 ~domid:2 in
       Array.iteri
         (fun q st ->
-          let d = st.Gm.qs_steered - before.(q).Gm.qs_steered in
+          let d = steered st - steered before.(q) in
           if q = predicted then
             Alcotest.(check bool) "all datagrams on the predicted queue" true
               (d >= 10)
@@ -185,7 +188,7 @@ let test_per_queue_suppression_independence () =
              ~dport:rr_port)
           ~queues:nq
       in
-      let before = Gm.queue_stats m1 ~domid:2 in
+      let before = Gm.queue_counters m1 ~domid:2 in
       let finished = ref false in
       let done_cond = Sim.Condition.create () in
       Sim.Engine.spawn duo.Setup.engine (fun () ->
@@ -203,14 +206,14 @@ let test_per_queue_suppression_independence () =
       while not !finished do
         Sim.Condition.await done_cond
       done;
-      let after = Gm.queue_stats m1 ~domid:2 in
+      let after = Gm.queue_counters m1 ~domid:2 in
       let delta q f = f after.(q) - f before.(q) in
       Alcotest.(check bool) "stream queue suppressed notifications" true
-        (delta stream_q (fun s -> s.Gm.qs_notifies_suppressed) > 0);
+        (delta stream_q (fun s -> Sim.Counters.value s "notifies_suppressed") > 0);
       Alcotest.(check bool) "rr queue rang its own doorbell" true
-        (delta rr_q (fun s -> s.Gm.qs_notifies_sent) > 0);
+        (delta rr_q (fun s -> Sim.Counters.value s "notifies_sent") > 0);
       Alcotest.(check bool) "rr traffic steered to its queue" true
-        (delta rr_q (fun s -> s.Gm.qs_steered) >= 20))
+        (delta rr_q steered >= 20))
 
 let test_multiqueue_stranded_teardown_reclaim () =
   (* Flood every queue of a tiny-FIFO channel with app payloads and unload
@@ -244,7 +247,7 @@ let test_multiqueue_stranded_teardown_reclaim () =
           in
           Hashtbl.replace received src_port (seq :: prev));
       let per_flow = 50 in
-      let steered_before = Gm.queue_stats m1 ~domid:2 in
+      let steered_before = Gm.queue_counters m1 ~domid:2 in
       (* Hog the server's vCPU for the duration of the burst so its drain
          handlers queue behind us: the frames provably pile up inside the
          channel rather than being consumed as fast as they are pushed. *)
@@ -263,13 +266,13 @@ let test_multiqueue_stranded_teardown_reclaim () =
                  ~dst_port:7777 payload))
           flow_port
       done;
-      let steered_after = Gm.queue_stats m1 ~domid:2 in
+      let steered_after = Gm.queue_counters m1 ~domid:2 in
       Array.iteri
         (fun q st ->
           Alcotest.(check bool)
             (Printf.sprintf "queue %d carried its flow" q)
             true
-            (st.Gm.qs_steered - steered_before.(q).Gm.qs_steered >= per_flow))
+            (steered st - steered steered_before.(q) >= per_flow))
         steered_after;
       (* The 2 KiB per-queue FIFOs cannot hold 50 frames: at this instant
          frames are stranded in-flight on every queue. *)
@@ -293,6 +296,44 @@ let test_multiqueue_stranded_teardown_reclaim () =
       Alcotest.(check int) "all channel pages returned" 0
         (Memory.Frame_allocator.owned_by frames 1))
 
+(* Queue scopes roll up into the module scope, so what a channel's queues
+   counted stays in the module totals after the channel is retired —
+   evicted by the bounded-state policy or torn down by an unload. *)
+let test_totals_survive_retirement () =
+  List.iter
+    (fun (how, retire) ->
+      let duo = Setup.build Setup.Xenloop_path in
+      let m1, _ = modules_of duo in
+      let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+      Experiment.execute duo (fun () ->
+          let (_ : Workloads.Netperf.stream_result) =
+            Workloads.Netperf.udp_stream ~client ~server ~dst:duo.Setup.server_ip
+              ~message_size:4096 ~total_bytes:(256 * 1024) ()
+          in
+          let queues = Gm.queue_counters m1 ~domid:2 in
+          let queue_sum name =
+            Array.fold_left (fun acc q -> acc + Sim.Counters.value q name) 0 queues
+          in
+          let before = Gm.counters m1 in
+          Alcotest.(check bool) (how ^ ": traffic was steered") true
+            (queue_sum "steered_packets" > 0);
+          retire m1;
+          Alcotest.(check int) (how ^ ": channel retired") 0
+            (Array.length (Gm.queue_counters m1 ~domid:2));
+          let after = Gm.counters m1 in
+          List.iter
+            (fun name ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: module %s keeps the queues' counts" how name)
+                (queue_sum name) (Sim.Counters.value after name))
+            [ "steered_packets"; "desc_tx"; "inline_tx"; "pool_fallbacks"; "loan_tx" ];
+          Alcotest.(check int) (how ^ ": the stats view agrees")
+            (Sim.Counters.value after "steered_packets")
+            (Gm.stats m1).Gm.steered_packets;
+          Alcotest.(check bool) (how ^ ": no module total fell") true
+            (List.for_all2 (fun (_, b) (_, a) -> a >= b) before after)))
+    [ ("evict", fun m -> ignore (Gm.evict_lru m)); ("unload", Gm.unload) ]
+
 let suites =
   [
     ( "xenloop.multiqueue",
@@ -307,5 +348,7 @@ let suites =
           test_per_queue_suppression_independence;
         Alcotest.test_case "stranded multi-queue teardown reclaim" `Quick
           test_multiqueue_stranded_teardown_reclaim;
+        Alcotest.test_case "module totals survive channel retirement" `Quick
+          test_totals_survive_retirement;
       ] );
   ]

@@ -279,9 +279,9 @@ let test_negotiation_falls_back_without_peer_support () =
       Alcotest.(check int) "no descriptors ever sent" 0 (Gm.stats m1).Gm.desc_tx;
       Alcotest.(check int) "everything inline" 0
         (Array.fold_left
-           (fun acc q -> acc + q.Gm.qs_desc_tx)
+           (fun acc q -> acc + Sim.Counters.value q "desc_tx")
            0
-           (Gm.queue_stats m1 ~domid:2)))
+           (Gm.queue_counters m1 ~domid:2)))
 
 let test_slot_starvation_degrades_to_inline () =
   (* Two pool slots per queue and a receiver pinned off-CPU: a burst of
@@ -319,9 +319,9 @@ let test_slot_starvation_degrades_to_inline () =
         (s.Gm.pool_fallbacks > 0);
       Alcotest.(check int) "per-queue counters agree" s.Gm.pool_fallbacks
         (Array.fold_left
-           (fun acc q -> acc + q.Gm.qs_pool_fallbacks)
+           (fun acc q -> acc + Sim.Counters.value q "pool_fallbacks")
            0
-           (Gm.queue_stats m1 ~domid:2)))
+           (Gm.queue_counters m1 ~domid:2)))
 
 (* The two kinds of pool-backed entry a sender can strand: app
    descriptors (one slot each) and TCP jumbo descriptors (a scatter
