@@ -71,11 +71,14 @@ fairness-check: build
 	dune exec bench/main.exe -- --fairness-check
 
 # Chaos soak: the full fault matrix (every scenario x every applicable
-# fault kind, alone and as a storm), deterministic per seed.  Set
-# SOAK_ITERS=n for a longer sweep over seeds 42..42+n-1; a red run prints
-# the first failing seed and its replay command.
+# fault kind, alone and as a storm), deterministic per seed, over seeds
+# 42..42+n-1 with n = SOAK_ITERS (default 10, about 30 s).  Ten seeds,
+# not one: races such as a send yielding across its channel's retirement
+# (cluster3/evict-storm lost a datagram at seeds 46 and 47 while only
+# seed 42 ran) show up only at some seeds.  A red run prints the first
+# failing seed and its replay command.
 soak: build
-	dune exec xenloopsim -- chaos
+	SOAK_ITERS=$${SOAK_ITERS:-10} dune exec xenloopsim -- chaos
 
 ci: check-tracked-artifacts build test bench-smoke engine-check datapath-check gso-check mesh-check fairness-check soak
 	@echo "ci: artifact check + build + tests + bench smoke (delivery check) + engine perf gate + data-path copy gate + gso offload gate + mesh control-plane gate + QoS fairness gate + chaos soak all green"

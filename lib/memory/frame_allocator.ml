@@ -7,12 +7,17 @@ type t = {
   per_owner : (int, int) Hashtbl.t;  (* domid -> frame count *)
   mutable fault_injector : (owner:int -> count:int -> bool) option;
   mutable alloc_faults : int;
+  mutable free_list : Page.t list;
+      (* released pages, scrubbed; their storage is handed out again
+         under a fresh id *)
+  mutable fresh_pages : int;  (* pages carved from new storage *)
 }
 
 let create ~total_frames =
   if total_frames <= 0 then invalid_arg "Frame_allocator.create: no frames";
   { total = total_frames; allocated = 0; owners = Hashtbl.create 256;
-    per_owner = Hashtbl.create 16; fault_injector = None; alloc_faults = 0 }
+    per_owner = Hashtbl.create 16; fault_injector = None; alloc_faults = 0;
+    free_list = []; fresh_pages = 0 }
 
 let set_fault_injector t f = t.fault_injector <- f
 let alloc_faults t = t.alloc_faults
@@ -27,6 +32,7 @@ let fault_exhausted t ~owner ~count =
 
 let total_frames t = t.total
 let free_frames t = t.total - t.allocated
+let fresh_pages t = t.fresh_pages
 
 let bump t owner delta =
   let cur = Option.value ~default:0 (Hashtbl.find_opt t.per_owner owner) in
@@ -37,7 +43,15 @@ let bump t owner delta =
 let allocate_raw t ~owner =
   if t.allocated >= t.total then Error Out_of_frames
   else begin
-    let page = Page.create () in
+    let page =
+      match t.free_list with
+      | old :: rest ->
+          t.free_list <- rest;
+          Page.renew old
+      | [] ->
+          t.fresh_pages <- t.fresh_pages + 1;
+          Page.create ()
+    in
     t.allocated <- t.allocated + 1;
     Hashtbl.replace t.owners (Page.id page) owner;
     bump t owner 1;
@@ -53,7 +67,11 @@ let release t ~owner page =
   | Some o when o = owner ->
       Hashtbl.remove t.owners (Page.id page);
       t.allocated <- t.allocated - 1;
-      bump t owner (-1)
+      bump t owner (-1);
+      (* Scrubbed now, so the data does not outlive its owner in memory
+         and a reuse hands out zeros. *)
+      Page.zero page;
+      t.free_list <- page :: t.free_list
   | Some _ -> invalid_arg "Frame_allocator.release: page owned by another domain"
   | None -> invalid_arg "Frame_allocator.release: page not allocated here"
 
@@ -74,6 +92,9 @@ let owners t =
   Hashtbl.fold (fun dom n acc -> (dom, n) :: acc) t.per_owner []
   |> List.sort compare
 
+(* Never recycled: a dead domain's grants die with its table, and a
+   foreign mapping of one may outlive it, so these pages' storage is
+   left to the GC once the last handle to it goes. *)
 let release_all t ~owner =
   let mine =
     Hashtbl.fold (fun id o acc -> if o = owner then id :: acc else acc) t.owners []

@@ -39,7 +39,9 @@ let next_id = ref 0
    1 MiB chunk charges the pacing once per 256 pages instead of once per
    page.  Only the current, partially-carved chunk is referenced here;
    a fully-carved chunk stays alive exactly as long as one of its page
-   proxies does, so memory is reclaimed just as with per-page allocation. *)
+   proxies does.  Carving is the slow path: a machine's frame allocator
+   keeps released pages and hands their storage out again through
+   [renew], so channel memory tracks live channels, not bring-ups. *)
 let chunk_pages = 256
 
 let new_chunk () =
@@ -48,9 +50,13 @@ let new_chunk () =
 let chunk = ref (new_chunk ())
 let chunk_used = ref 0
 
-let create () =
-  let page_id = !next_id in
+let fresh_id () =
+  let id = !next_id in
   incr next_id;
+  id
+
+let create () =
+  let page_id = fresh_id () in
   if !chunk_used >= chunk_pages then begin
     chunk := new_chunk ();
     chunk_used := 0
@@ -60,6 +66,8 @@ let create () =
   (* Chunks come from malloc unzeroed; a fresh page must read as zeros. *)
   Bigarray.Array1.fill data '\000';
   { page_id; data }
+
+let renew t = { page_id = fresh_id (); data = t.data }
 
 let id t = t.page_id
 

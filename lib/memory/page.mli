@@ -15,11 +15,19 @@ val size : int
 (** 4096. *)
 
 val create : unit -> t
-(** A fresh zeroed page. *)
+(** A zeroed page on newly carved storage. *)
+
+val renew : t -> t
+(** A new page on [t]'s storage, with a fresh {!id}; the contents are
+    whatever [t] holds.  The frame allocator's reuse path: the old handle
+    still aliases the storage, so only a page nobody can reach through
+    [t] any more (released, its grants ended) may be renewed. *)
 
 val id : t -> int
-(** Unique identity (monotonically assigned), usable as a pseudo frame
-    number. *)
+(** Identity of this allocation, usable as a pseudo frame number.  Unique
+    among live pages: every {!create} and {!renew} draws a new one, so a
+    renewed page never shares the id its storage had before, and a stale
+    handle to the old allocation cannot pass for the new one. *)
 
 val write : t -> off:int -> src:Bytes.t -> src_off:int -> len:int -> unit
 (** @raise Invalid_argument on out-of-bounds access (either side). *)

@@ -82,12 +82,16 @@ let create_pipe ~machine ~owner ~writer_domid ?(size = 65536) () =
         signals = 0;
         cleanup =
           (fun () ->
-            List.iter (fun gref -> ignore (Gt.end_access gt gref))
-              (desc_gref :: data_grefs);
-            Array.iter
-              (fun page ->
-                Memory.Frame_allocator.release frames ~owner:owner_id page)
-              pool;
+            (* A page goes back to the machine, whose next allocation may
+               reuse it, only once its grant has ended; one the writer
+               still maps stays charged to us until domain destruction. *)
+            List.iter2
+              (fun gref page ->
+                match Gt.end_access gt gref with
+                | Ok () ->
+                    Memory.Frame_allocator.release frames ~owner:owner_id page
+                | Error _ -> ())
+              (desc_gref :: data_grefs) (Array.to_list pool);
             Ec.close ec ~dom:owner_id ~port);
       }
   in

@@ -93,6 +93,12 @@ end
 
 type role = Listener | Connector
 
+(* What retirement does with the frames that never reached the peer. *)
+type backlog =
+  | Drop  (** quarantine: nothing from an untrusted channel is kept *)
+  | Save  (** pre-migration: resent after restore (paper Sect. 3.4) *)
+  | Flush  (** everything else: out through netfront now, never lost *)
+
 (* One of a channel's N independent queue pairs: its own FIFO pair, its own
    event-channel port, its own waiting list, and its own suppression/poll
    state, so a bulk stream saturating one queue never head-of-line-blocks
@@ -133,6 +139,11 @@ type queue = {
       (** some process is inside [drain_waiting]; CPU charges yield, so the
           handler and a sender batch-flush could otherwise double-pop *)
   q_counts : Counters.scope;  (** this queue's counters; rolls up into [t.s] *)
+  mutable q_retired : backlog option;
+      (** set when our side retires the queue.  Its pages may already
+          serve another channel, so nothing touches its FIFOs or pools
+          again; a frame that still reaches it (a sender that yielded
+          across the retirement) goes where the backlog went *)
 }
 
 type channel = {
@@ -458,6 +469,13 @@ let unadvertise t =
 (* ------------------------------------------------------------------ *)
 (* Channel data path (all per queue) *)
 
+let live q = Option.is_none q.q_retired
+
+(* Both directions still up: our side has not retired the queue and the
+   peer has not marked it inactive. *)
+let queue_active q =
+  live q && Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo
+
 let notify_peer ?(force = false) t q =
   (* Doorbell suppression: a consumer that has published "actively
      draining" in this queue's shared descriptor will see our data on its
@@ -469,6 +487,7 @@ let notify_peer ?(force = false) t q =
   if
     (not force)
     && (p.Params.xenloop_notify_suppression || p.Params.xenloop_poll_mode)
+    && live q
     && Fifo.consumer_active q.out_fifo
   then Counters.bump q.q_counts C.notifies_suppressed
   else begin
@@ -594,55 +613,59 @@ let push_jumbo ?(amortized = false) t q raw =
           Sim.Resource.use (cpu t) (Params.xenloop_copy_cost p len);
           record_copy t len
         end;
-        let chunk_slots = Array.make nchunks 0 in
-        let chunk_lens = Array.make nchunks 0 in
-        let allocated = ref 0 in
-        (try
-           for i = 0 to nchunks - 1 do
-             let slot = Payload_pool.alloc_slot pool in
-             if slot < 0 then raise Exit;
-             chunk_slots.(i) <- slot;
-             allocated := i + 1;
-             let off = i * sb in
-             let clen = min sb (len - off) in
-             chunk_lens.(i) <- clen;
-             Payload_pool.write_from pool ~slot ~src:raw ~src_off:off ~len:clen
-           done
-         with Exit -> ());
-        (* [unalloc] rewinds only the most recent allocation, so the
-           rollback must walk the vector most-recent-first. *)
-        let rollback () =
-          for i = !allocated - 1 downto 0 do
-            Payload_pool.unalloc pool chunk_slots.(i)
-          done
-        in
-        if !allocated < nchunks then begin
-          rollback ();
-          Counters.bump q.q_counts C.pool_fallbacks;
-          false
-        end
+        (* Retired while we yielded: its pool may be someone else's now. *)
+        if not (live q) then false
         else begin
-          (* Chaos hook: corrupt one chunk length in the published vector
-             — [total_len] stays honest and the payload was written
-             intact, so the receiver must catch the sum mismatch and drop
-             this frame loudly rather than mis-deliver it. *)
-          (match t.jumbo_fault with
-          | Some f when chunk_lens.(0) > 1 && f () ->
-              chunk_lens.(0) <- chunk_lens.(0) - 1
-          | _ -> ());
-          if
-            Fifo.try_push_jumbo q.out_fifo ~flags:Fifo.flag_csum_ok ~chunk_slots
-              ~chunk_lens ~nchunks ~total_len:len ~proto_hint:(proto_hint_of raw)
-              ()
-          then begin
-            count_desc_tx q;
-            Counters.bump t.s C.jumbo_tx;
-            Counters.add t.s C.jumbo_chunks_tx nchunks;
-            true
+          let chunk_slots = Array.make nchunks 0 in
+          let chunk_lens = Array.make nchunks 0 in
+          let allocated = ref 0 in
+          (try
+             for i = 0 to nchunks - 1 do
+               let slot = Payload_pool.alloc_slot pool in
+               if slot < 0 then raise Exit;
+               chunk_slots.(i) <- slot;
+               allocated := i + 1;
+               let off = i * sb in
+               let clen = min sb (len - off) in
+               chunk_lens.(i) <- clen;
+               Payload_pool.write_from pool ~slot ~src:raw ~src_off:off ~len:clen
+             done
+           with Exit -> ());
+          (* [unalloc] rewinds only the most recent allocation, so the
+             rollback must walk the vector most-recent-first. *)
+          let rollback () =
+            for i = !allocated - 1 downto 0 do
+              Payload_pool.unalloc pool chunk_slots.(i)
+            done
+          in
+          if !allocated < nchunks then begin
+            rollback ();
+            Counters.bump q.q_counts C.pool_fallbacks;
+            false
           end
           else begin
-            rollback ();
-            false
+            (* Chaos hook: corrupt one chunk length in the published vector
+               — [total_len] stays honest and the payload was written
+               intact, so the receiver must catch the sum mismatch and drop
+               this frame loudly rather than mis-deliver it. *)
+            (match t.jumbo_fault with
+            | Some f when chunk_lens.(0) > 1 && f () ->
+                chunk_lens.(0) <- chunk_lens.(0) - 1
+            | _ -> ());
+            if
+              Fifo.try_push_jumbo q.out_fifo ~flags:Fifo.flag_csum_ok ~chunk_slots
+                ~chunk_lens ~nchunks ~total_len:len ~proto_hint:(proto_hint_of raw)
+                ()
+            then begin
+              count_desc_tx q;
+              Counters.bump t.s C.jumbo_tx;
+              Counters.add t.s C.jumbo_chunks_tx nchunks;
+              true
+            end
+            else begin
+              rollback ();
+              false
+            end
           end
         end
       end
@@ -665,6 +688,9 @@ let push_plain ~amortized t q raw =
        else Sim.Time.span_add p.Params.xenloop_fifo_op (Params.xenloop_copy_cost p len))
   else if not loan_desc then
     Sim.Resource.use (cpu t) (Params.xenloop_copy_cost p len);
+  (* Retired while we yielded: its pages may be someone else's now. *)
+  live q
+  &&
   let outcome =
     Fifo.push_entry q.out_fifo ~pool:q.q_tx_pool ~inline_max:q.q_inline_max
       ~proto_hint:(proto_hint_of raw) raw
@@ -741,17 +767,30 @@ let route_overflow_standard t raw =
   Counters.bump t.s C.waiting_overflows;
   transmit_standard t raw
 
+(* Frames that never reached the peer of a retired channel: kept for
+   the resend after migration, sent through netfront, or (quarantine)
+   dropped. *)
+let dispose_backlog t backlog frames =
+  match backlog with
+  | Drop -> ()
+  | Save -> t.saved_frames <- t.saved_frames @ frames
+  | Flush -> List.iter (transmit_standard t) frames
+
+(* A frame bound for a queue our side has retired — its sender yielded
+   across the retirement, which already took the backlog — joins that
+   backlog's fate instead of a waiting list nobody drains any more. *)
 let enqueue_waiting t q raw =
   let p = params t in
-  if Queue.length q.waiting >= p.Params.xenloop_waiting_list_max then
-    route_overflow_standard t raw
-  else begin
-    Queue.push raw q.waiting;
-    Counters.bump t.s C.queued_to_waiting;
-    (* Published through the shared descriptor so the peer knows freed
-       space on this queue is worth a notification back to us. *)
-    Fifo.set_producer_waiting q.out_fifo true
-  end
+  match q.q_retired with
+  | Some backlog -> dispose_backlog t backlog [ raw ]
+  | None when Queue.length q.waiting >= p.Params.xenloop_waiting_list_max ->
+      route_overflow_standard t raw
+  | None ->
+      Queue.push raw q.waiting;
+      Counters.bump t.s C.queued_to_waiting;
+      (* Published through the shared descriptor so the peer knows freed
+         space on this queue is worth a notification back to us. *)
+      Fifo.set_producer_waiting q.out_fifo true
 
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant QoS tx path (DESIGN.md §14).  Active only when t.qos is
@@ -824,6 +863,7 @@ let qos_enqueue_frame t qs q sched ~key raw =
   match action with
   | Qos.Policy.Drop -> ()
   | Qos.Policy.Divert -> transmit_standard t raw
+  | Qos.Policy.Pass when not (live q) -> enqueue_waiting t q raw
   | Qos.Policy.Pass ->
       if Qos.Drr.enqueue sched ~key ~weight:flow.Qos.Flow_table.f_weight ~len raw
       then begin
@@ -858,8 +898,17 @@ let qos_drain t qs q sched =
     let p = params t in
     let pushed_total = ref 0 in
     let continue_draining = ref true in
+    (* Frames selected out of the scheduler and not pushed go back to
+       their flow's front — or, if the queue was retired while we
+       yielded, to the retirement's backlog. *)
+    let restore key items =
+      match q.q_retired with
+      | Some backlog -> dispose_backlog t backlog (List.map fst items)
+      | None -> Qos.Drr.restore sched key items
+    in
     while
       !continue_draining
+      && live q
       &&
       match Qos.Drr.head_len sched with
       | Some len -> queue_can_accept q len
@@ -902,10 +951,10 @@ let qos_drain t qs q sched =
                               pe_desc = true;
                             }
                       | None -> ());
-                      if rest <> [] then Qos.Drr.restore sched key rest
+                      if rest <> [] then restore key rest
                     end
                     else begin
-                      Qos.Drr.restore sched key jumbo_rest;
+                      restore key jumbo_rest;
                       continue_draining := false
                     end;
                     qos_update_watermark t qs sched flow)
@@ -913,12 +962,18 @@ let qos_drain t qs q sched =
             let items = plain in
             Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
             let report =
-              Fifo.push_many q.out_fifo ?pool:q.q_tx_pool
-                ~inline_max:q.q_inline_max
-                ~proto_hint:
-                  (match items with (raw, _) :: _ -> proto_hint_of raw | [] -> 0)
-                ~loans:(q.q_max_loans > 0)
-                (List.map fst items)
+              if not (live q) then
+                (* Retired while we yielded: nothing enters, and [restore]
+                   hands the batch to the retirement's backlog. *)
+                { Fifo.pr_pushed = 0; pr_desc = 0; pr_inline = 0;
+                  pr_fallbacks = 0; pr_loans = 0 }
+              else
+                Fifo.push_many q.out_fifo ?pool:q.q_tx_pool
+                  ~inline_max:q.q_inline_max
+                  ~proto_hint:
+                    (match items with (raw, _) :: _ -> proto_hint_of raw | [] -> 0)
+                  ~loans:(q.q_max_loans > 0)
+                  (List.map fst items)
             in
             let pushed_items, leftover = take_drop report.Fifo.pr_pushed items in
             Counters.add q.q_counts C.desc_tx report.Fifo.pr_desc;
@@ -958,11 +1013,12 @@ let qos_drain t qs q sched =
                stops the drain (a restored jumbo tail is simply the next
                round's head). *)
             if leftover @ jumbo_rest <> [] then
-              Qos.Drr.restore sched key (leftover @ jumbo_rest);
+              restore key (leftover @ jumbo_rest);
             if leftover <> [] then continue_draining := false;
             qos_update_watermark t qs sched flow)
     done;
-    if Qos.Drr.is_empty sched then Fifo.set_producer_waiting q.out_fifo false;
+    if live q && Qos.Drr.is_empty sched then
+      Fifo.set_producer_waiting q.out_fifo false;
     q.q_tx_draining <- false;
     !pushed_total
   end
@@ -981,7 +1037,8 @@ let drain_waiting_legacy t q =
       end
       else continue_draining := false
     done;
-    if Queue.is_empty q.waiting then Fifo.set_producer_waiting q.out_fifo false;
+    if live q && Queue.is_empty q.waiting then
+      Fifo.set_producer_waiting q.out_fifo false;
     q.q_tx_draining <- false;
     !pushed
   end
@@ -1219,77 +1276,94 @@ let inject t = function
    first.  A vouched frame — every jumbo — is parsed where it lies: its
    header prefix is read out of the pool and its payload chunks are
    copied once, straight into the packet's payload (DESIGN.md §10). *)
-let parse_pooled t pool e ~flags =
-  count_rx t e
-    (if flags land Fifo.flag_csum_ok = 0 then Netcore.Codec.parse (gather pool e)
-     else begin
-       let len = entry_len e in
-       let prefix = Bytes.create (min len Netcore.Codec.header_room) in
-       read_frame pool e ~src_off:0 ~dst:prefix ~dst_off:0
-         ~len:(Bytes.length prefix);
-       Netcore.Codec.parse_scattered ~len ~prefix ~fill:(fun src_off dst ->
-           read_frame pool e ~src_off ~dst ~dst_off:0 ~len:(Bytes.length dst))
-     end)
+let parse_pooled pool e ~flags =
+  if flags land Fifo.flag_csum_ok = 0 then Netcore.Codec.parse (gather pool e)
+  else begin
+    let len = entry_len e in
+    let prefix = Bytes.create (min len Netcore.Codec.header_room) in
+    read_frame pool e ~src_off:0 ~dst:prefix ~dst_off:0
+      ~len:(Bytes.length prefix);
+    Netcore.Codec.parse_scattered ~len ~prefix ~fill:(fun src_off dst ->
+        read_frame pool e ~src_off ~dst ~dst_off:0 ~len:(Bytes.length dst))
+  end
+
+(* Slot frees write the shared free ring, so only a live queue's pool
+   gets them: a retired queue's pages may already serve another channel
+   (its view is dead, and the peer reclaims nothing from it). *)
+let free_live_chunks q pool e = if live q then free_chunks pool e
 
 (* A [flag_app] descriptor: a socket-shortcut datagram living in the pool
    slot behind an 8-byte app header, delivered to the application layer
    directly — as a borrowed view with an explicit release when credit
-   allows, by copy-out to the plain handler otherwise. *)
-let consume_app_desc t q pool e ~slot ~off ~len ~dst_port =
-  if len <= 8 then
-    (* No room for the app header: off-protocol. *)
-    raise Corrupt_channel
-  else begin
-    let hdr = Payload_pool.read pool ~slot ~off ~len:8 in
-    let src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be hdr 0) in
-    let src_port = Bytes.get_uint16_be hdr 4 in
-    let plen = len - 8 in
-    Counters.bump t.s C.via_channel_rx;
-    match t.app_view_handler with
-    | Some handler when can_loan q pool e ->
-        loan_chunks q pool e;
-        let payload = Payload_pool.read pool ~slot ~off:(off + 8) ~len:plen in
-        handler ~src_ip ~src_port ~dst_port payload
-          ~release:(make_release t q pool e ~len:plen)
-    | Some _ | None -> (
-        let payload = Payload_pool.read pool ~slot ~off:(off + 8) ~len:plen in
-        free_chunks pool e;
-        note_copy_out t q plen;
-        match t.app_handler with
-        | Some handler -> handler ~src_ip ~src_port ~dst_port payload
-        | None -> ())
-  end
+   allows, by copy-out to the plain handler otherwise.  [app] is the
+   header and datagram, already read out of the slot ([None]: no room
+   for the header, which is off-protocol). *)
+let consume_app_desc t q pool e app ~dst_port =
+  match app with
+  | None -> raise Corrupt_channel
+  | Some (hdr, payload) -> (
+      let src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be hdr 0) in
+      let src_port = Bytes.get_uint16_be hdr 4 in
+      let plen = Bytes.length payload in
+      Counters.bump t.s C.via_channel_rx;
+      match t.app_view_handler with
+      | Some handler when can_loan q pool e ->
+          loan_chunks q pool e;
+          handler ~src_ip ~src_port ~dst_port payload
+            ~release:(make_release t q pool e ~len:plen)
+      | Some _ | None -> (
+          free_live_chunks q pool e;
+          note_copy_out t q plen;
+          match t.app_handler with
+          | Some handler -> handler ~src_ip ~src_port ~dst_port payload
+          | None -> ()))
 
 (* Receive one pool-backed entry.  The zero-copy receive half: the
    payload is consumed in place out of the mapped pool, so the CPU pays
    bookkeeping only.  A jumbo is GRO: its scatter vector reassembles into
-   one frame delivered whole to the stack. *)
+   one frame delivered whole to the stack.  Every byte the delivery needs
+   is read out of the pool before the bookkeeping charge yields: a
+   teardown that runs meanwhile gives the pool's pages back, and by the
+   time we resume they may serve another channel.  The popped entry is
+   still delivered — the peer cannot reclaim what we already popped. *)
 let receive_pooled t q pool e ~bookkeeping =
   let intact = chunks_valid pool e in
-  Sim.Resource.use (cpu t) bookkeeping;
   match e with
   | Fifo.Desc { d_slot; d_off; d_len; d_proto; d_flags }
     when d_flags land Fifo.flag_app <> 0 ->
-      consume_app_desc t q pool e ~slot:d_slot ~off:d_off ~len:d_len
-        ~dst_port:d_proto
+      let app =
+        if d_len <= 8 then None
+        else
+          Some
+            ( Payload_pool.read pool ~slot:d_slot ~off:d_off ~len:8,
+              Payload_pool.read pool ~slot:d_slot ~off:(d_off + 8)
+                ~len:(d_len - 8) )
+      in
+      Sim.Resource.use (cpu t) bookkeeping;
+      consume_app_desc t q pool e app ~dst_port:d_proto
   | Fifo.Jumbo { j_len; j_chunks; _ } when not intact ->
+      Sim.Resource.use (cpu t) bookkeeping;
       (* Return the slots, account the drop loudly, keep the channel. *)
-      free_chunks pool e;
+      free_live_chunks q pool e;
       Counters.bump t.s C.jumbo_drops;
       trace t Sim.Trace.Channel
         "dom%d: dropped corrupt jumbo on q%d (len=%d chunk-sum=%d chunks=%d)"
         (my_domid t) q.q_index j_len
         (Array.fold_left (fun a (_, l) -> a + l) 0 j_chunks)
         (Array.length j_chunks)
-  | Fifo.Inline _ -> (* [drain_incoming] receives inline entries itself *) ()
+  | Fifo.Inline _ ->
+      (* [drain_incoming] receives inline entries itself *)
+      Sim.Resource.use (cpu t) bookkeeping
   | Fifo.Desc { d_flags = flags; _ } | Fifo.Jumbo { j_flags = flags; _ } ->
+      let parsed = parse_pooled pool e ~flags in
+      Sim.Resource.use (cpu t) bookkeeping;
+      let parsed = count_rx t e parsed in
       let len = entry_len e in
       if can_loan q pool e then begin
         (* Loaned delivery: the socket layer borrows the slots and the
            free-ring return waits for the application's release — no copy
            charged, none recorded. *)
         loan_chunks q pool e;
-        let parsed = parse_pooled t pool e ~flags in
         let release = make_release t q pool e ~len in
         match parsed with
         | Ok packet -> Stack.inject_rx_borrowed t.stack packet ~release
@@ -1297,8 +1371,7 @@ let receive_pooled t q pool e ~bookkeeping =
       end
       else begin
         note_copy_out t q len;
-        let parsed = parse_pooled t pool e ~flags in
-        free_chunks pool e;
+        free_live_chunks q pool e;
         inject t parsed
       end
 
@@ -1306,7 +1379,7 @@ let drain_incoming t q =
   let consumed = ref 0 in
   let p = params t in
   let continue_draining = ref true in
-  while !continue_draining do
+  while !continue_draining && live q do
     match Fifo.pop_entry q.in_fifo with
     | exception Invalid_argument _ ->
         (* The peer scribbled over the shared FIFO state.  Never trust it,
@@ -1427,12 +1500,6 @@ let reclaim_stranded t ch q =
   Queue.transfer q.waiting stranded;
   Queue.transfer stranded q.waiting
 
-(* What retirement does with the frames that never reached the peer. *)
-type backlog =
-  | Drop  (** quarantine: nothing from an untrusted channel is kept *)
-  | Save  (** pre-migration: resent after restore (paper Sect. 3.4) *)
-  | Flush  (** everything else: out through netfront now, never lost *)
-
 (* Retire a channel (paper Sect. 3.3, "Channel teardown"): the one path
    behind our own teardown (unload, migration, eviction), the peer's, and
    quarantine.  Receive what is still pending; mark every queue inactive
@@ -1474,19 +1541,19 @@ let retire t ch ~backlog ~tell_peer =
   if trusted then Array.iter (reclaim_stranded t ch) ch.queues;
   (* Snapshot every queue before transmitting: each transmit yields the
      CPU, and a handler waking mid-flush must find the queues already
-     empty rather than race the iteration. *)
+     empty rather than race the iteration.  From here on the queues are
+     retired: a sender still mid-push when we got here sends its frame
+     after this backlog rather than onto a waiting list nobody drains. *)
   let frames =
     Array.fold_left
       (fun acc q ->
         let fs = List.of_seq (Queue.to_seq q.waiting) in
         Queue.clear q.waiting;
+        q.q_retired <- Some backlog;
         acc @ fs)
       [] ch.queues
   in
-  (match backlog with
-  | Drop -> ()
-  | Save -> t.saved_frames <- t.saved_frames @ frames
-  | Flush -> List.iter (transmit_standard t) frames);
+  dispose_backlog t backlog frames;
   if tell_peer then
     Array.iter
       (fun q -> try notify_peer ~force:true t q with Invalid_argument _ -> ())
@@ -1742,7 +1809,7 @@ let poll_for_more t q =
     while not (!got_work || !stop) do
       Sim.Engine.sleep interval;
       Counters.bump t.s C.poll_rounds;
-      if not (Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo) then
+      if not (queue_active q) then
         (* Never poll across a teardown: the disengage path must run. *)
         stop := true
       else if
@@ -1785,7 +1852,7 @@ let start_poller t peer_domid ch q =
           (* Unloaded, migrated, or the channel was replaced/torn down
              while we slept; never touch pages that may be reclaimed. *)
           running := false
-        else if not (Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo) then begin
+        else if not (queue_active q) then begin
           (* Peer-initiated teardown: with event handlers disengaged, the
              poller is the one who notices and runs the disengage. *)
           running := false;
@@ -1831,7 +1898,7 @@ let on_event t peer_domid qi () =
     | Some (Active ch) when qi < Array.length ch.queues -> (
         let q = ch.queues.(qi) in
         if not q.q_busy then begin
-          if not (Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo) then
+          if not (queue_active q) then
             handle_peer_teardown t peer_domid ch
           else begin
             q.q_busy <- true;
@@ -1854,7 +1921,7 @@ let on_event t peer_domid qi () =
                      free. *)
                   if
                     pushed > 0
-                    || (consumed > 0 && Fifo.producer_waiting q.in_fifo)
+                    || (consumed > 0 && live q && Fifo.producer_waiting q.in_fifo)
                   then notify_peer t q;
                   if consumed = 0 && pushed = 0 then
                     serving := poll_for_more t q
@@ -1863,7 +1930,7 @@ let on_event t peer_domid qi () =
               done;
               let final_consumed = ref 0 and final_pushed = ref 0 in
               if suppressing then begin
-                Fifo.set_consumer_active q.in_fifo false;
+                if live q then Fifo.set_consumer_active q.in_fifo false;
                 (* Close the suppression race: a push that saw the flag
                    still set stayed silent, so look one last time after
                    clearing. *)
@@ -1884,8 +1951,7 @@ let on_event t peer_domid qi () =
                 q.q_busy <- false;
                 if total_consumed > 0 || total_pushed > 0 then
                   ch.ch_last_active <- Sim.Engine.now (engine t);
-                if not (Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo)
-                then
+                if not (queue_active q) then
                   (* The peer tore the channel down while we were busy; its
                      notify was swallowed by the busy guard, so disengage
                      now. *)
@@ -2128,6 +2194,7 @@ let listener_create t ~peer_domid ~peer_mac ~peer_queues ~peer_zc ~peer_loans
                 q_inline_max = inline_max;
                 q_busy = false;
                 q_tx_draining = false;
+                q_retired = None;
                 q_counts = Counters.scope ~parent:t.s C.registry;
                 q_max_loans = max_loans;
                 q_gso_max = gso_max;
@@ -2383,6 +2450,7 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
                             q_inline_max;
                             q_busy = false;
                             q_tx_draining = false;
+                q_retired = None;
                             q_counts = Counters.scope ~parent:t.s C.registry;
                             q_max_loans;
                             q_gso_max;
@@ -2545,10 +2613,7 @@ let on_ctrl_packet t (packet : P.t) =
             match Hashtbl.find_opt t.peers listener_domid with
             | Some (Active ch)
               when ch.role = Connector
-                   && Array.for_all
-                        (fun q ->
-                          Fifo.is_active q.out_fifo && Fifo.is_active q.in_fifo)
-                        ch.queues ->
+                   && Array.for_all queue_active ch.queues ->
                 (* Duplicate create (our ack was in flight): re-ack. *)
                 send_ctrl t ~dst_mac:packet.P.src_mac
                   (Proto.Channel_ack { connector_domid = my_domid t })

@@ -194,6 +194,35 @@ let test_counter_bump_zero_alloc () =
   in
   check_words "counter bumps" ~bound:0.0 per
 
+(* Host memory for channel churn: each bring-up on a cap-1 pair takes
+   its pages from the storage the previous teardown released, so after
+   the first cycle the machine carves nothing new.  A count of fresh
+   pages, not RSS: deterministic and independent of the GC. *)
+let test_channel_churn_reuses_frames () =
+  let module Gm = Xenloop.Guest_module in
+  let module Fa = Memory.Frame_allocator in
+  Testutil.with_cap1_pair (fun t frames ->
+      let m0 = t.Scenarios.Mesh.guests.(0).Scenarios.Mesh.g_module in
+      let cycle () =
+        Scenarios.Mesh.ping t ~src:0 ~dst:1;
+        Sim.Engine.sleep (Sim.Time.ms 2);
+        Alcotest.(check int) "channel up" 1 (Gm.active_channel_count m0);
+        Alcotest.(check bool) "evicted" true (Gm.evict_lru m0);
+        (* Past the cooldown and the reaper: every page is back. *)
+        Sim.Engine.sleep (Sim.Time.ms 10)
+      in
+      cycle ();
+      let after_first = Fa.fresh_pages frames in
+      Alcotest.(check bool) "the first bring-up carved its pages" true
+        (after_first > 0);
+      for _ = 2 to 20 do
+        cycle ()
+      done;
+      Alcotest.(check int) "19 more cycles carved nothing" after_first
+        (Fa.fresh_pages frames);
+      Alcotest.(check int) "all 20 bring-ups happened" 20
+        (Gm.stats m0).Gm.channels_established)
+
 let suites =
   [
     ( "sim.alloc",
@@ -211,5 +240,7 @@ let suites =
           test_xenloop_bulk_copy_budget;
         Alcotest.test_case "counter bumps allocate nothing" `Quick
           test_counter_bump_zero_alloc;
+        Alcotest.test_case "channel churn carves no fresh pages" `Quick
+          test_channel_churn_reuses_frames;
       ] );
   ]

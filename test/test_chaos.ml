@@ -60,6 +60,27 @@ let test_different_seed_different_plan () =
 (* ------------------------------------------------------------------ *)
 (* Soak subset *)
 
+(* Seeds 46 and 47 of cluster3/evict-storm hit the sender/retirement
+   race: a send yields on its CPU charge while its channel is registered,
+   the peer's teardown retires the channel and flushes an empty backlog,
+   and the push resumes against the retired queue.  The frame must leave
+   through netfront like the rest of the backlog, not park on a waiting
+   list nobody drains. *)
+let test_evict_storm_race_loses_nothing () =
+  List.iter
+    (fun seed ->
+      let config =
+        Harness.default_config ~seed ~evictions:true
+          ~faults:[ Fault.default_spec Fault.Evict_storm ]
+          Harness.Cluster3
+      in
+      let v, _ = Harness.run config in
+      Alcotest.(check int) (Printf.sprintf "seed %d: nothing lost" seed) 0
+        v.Harness.v_lost;
+      Alcotest.(check bool) (Printf.sprintf "seed %d: clean" seed) true
+        (Harness.ok v))
+    [ 46; 47 ]
+
 let test_soak_subset_clean () =
   let cases =
     [
@@ -467,6 +488,8 @@ let suites =
         Alcotest.test_case "different seed, different plan" `Quick
           test_different_seed_different_plan;
         Alcotest.test_case "soak subset is clean" `Quick test_soak_subset_clean;
+        Alcotest.test_case "evict-storm send racing retirement" `Quick
+          test_evict_storm_race_loses_nothing;
         Alcotest.test_case "soak json lists every run" `Quick
           test_soak_json_lists_every_run;
         Alcotest.test_case "loans-on chaos run is clean" `Quick

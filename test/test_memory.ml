@@ -253,6 +253,147 @@ let test_frames_release_all () =
   Alcotest.(check int) "owner 4 untouched" 1 (Fa.owned_by fa 4);
   Alcotest.(check int) "frames back" 7 (Fa.free_frames fa)
 
+let alloc fa ~owner =
+  match Fa.allocate fa ~owner with Ok p -> p | Error _ -> Alcotest.fail "alloc"
+
+let test_frames_reuse_zeroed () =
+  let fa = Fa.create ~total_frames:4 in
+  let p = alloc fa ~owner:1 in
+  Page.set_u64 p 512 0x0123456789abcdefL;
+  Fa.release fa ~owner:1 p;
+  let q = alloc fa ~owner:1 in
+  Alcotest.(check int) "storage reused, none carved" 1 (Fa.fresh_pages fa);
+  Alcotest.(check bool) "reused page reads as zeros" true (Page.is_zeroed q);
+  Alcotest.(check bool) "with an identity of its own" true (Page.id p <> Page.id q)
+
+let test_frames_stale_release_after_reuse () =
+  let fa = Fa.create ~total_frames:4 in
+  let p = alloc fa ~owner:1 in
+  Fa.release fa ~owner:1 p;
+  let q = alloc fa ~owner:1 in
+  (* [p] is stale but still aliases the storage [q] now owns. *)
+  Page.set_u8 q 7 0x5a;
+  Alcotest.(check int) "same storage" 0x5a (Page.get_u8 p 7);
+  Alcotest.(check bool) "stale double release raises" true
+    (try
+       Fa.release fa ~owner:1 p;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "the new owner keeps its frame" 1 (Fa.owned_by fa 1);
+  Fa.release fa ~owner:1 q;
+  Alcotest.(check int) "and can still release it" 0 (Fa.owned_by fa 1)
+
+let test_frames_release_all_not_reused () =
+  let fa = Fa.create ~total_frames:4 in
+  let pages = Array.init 3 (fun i -> let p = alloc fa ~owner:3 in Page.set_u8 p 0 (i + 1); p) in
+  Fa.release_all fa ~owner:3;
+  let fresh = Fa.fresh_pages fa in
+  let q = alloc fa ~owner:4 in
+  Alcotest.(check int) "a destroyed domain's frame is never reused" (fresh + 1)
+    (Fa.fresh_pages fa);
+  Page.set_u8 q 0 0xff;
+  Array.iteri
+    (fun i p ->
+      Alcotest.(check int) "old storage untouched by the new owner" (i + 1)
+        (Page.get_u8 p 0))
+    pages
+
+(* XenLoop worlds for the frame-reuse rules. *)
+module Mesh = Scenarios.Mesh
+module Gm = Xenloop.Guest_module
+module Udp = Netstack.Udp
+
+let domid t i = Hypervisor.Domain.domid t.Mesh.guests.(i).Mesh.g_domain
+
+let test_still_mapped_waits_for_reaper () =
+  Testutil.with_cap1_pair (fun t frames ->
+      Mesh.ping t ~src:0 ~dst:1;
+      Sim.Engine.sleep (Sim.Time.ms 2);
+      (* The listener is charged for the whole channel. *)
+      let listener = if Fa.owned_by frames (domid t 0) > 0 then 0 else 1 in
+      let ldom = domid t listener in
+      let channel_pages = Fa.owned_by frames ldom in
+      Alcotest.(check bool) "channel up" true (channel_pages > 0);
+      Alcotest.(check bool) "listener evicts" true
+        (Gm.evict_lru t.Mesh.guests.(listener).Mesh.g_module);
+      (* The connector's unmap rides the teardown notification, so some
+         pages are still mapped and parked with the reaper. *)
+      let parked = Fa.owned_by frames ldom in
+      Alcotest.(check bool) "some pages parked while mapped" true (parked > 0);
+      let grab () =
+        let before = Fa.fresh_pages frames in
+        let p = alloc frames ~owner:99 in
+        (p, Fa.fresh_pages frames = before)
+      in
+      let rec take_reused acc =
+        match grab () with
+        | p, true -> take_reused (p :: acc)
+        | p, false -> (acc, p)
+      in
+      let reused, carved = take_reused [] in
+      Alcotest.(check int) "only the released pages are reused"
+        (channel_pages - parked) (List.length reused);
+      Alcotest.(check int) "parked pages stay with the listener" parked
+        (Fa.owned_by frames ldom);
+      List.iter (Fa.release frames ~owner:99) (carved :: reused);
+      Sim.Engine.sleep (Sim.Time.ms 2);
+      Alcotest.(check int) "the reaper returned them" 0 (Fa.owned_by frames ldom);
+      let fresh = Fa.fresh_pages frames in
+      let later = Array.init channel_pages (fun _ -> alloc frames ~owner:99) in
+      Alcotest.(check int) "now every channel page is reusable" fresh
+        (Fa.fresh_pages frames);
+      Array.iter (Fa.release frames ~owner:99) later)
+
+let test_socket_bytes_survive_reuse () =
+  Testutil.with_cap1_pair (fun t frames ->
+      Mesh.ping t ~src:0 ~dst:1;
+      Sim.Engine.sleep (Sim.Time.ms 2);
+      let bind i port =
+        match Udp.bind t.Mesh.guests.(i).Mesh.g_endpoint.Scenarios.Endpoint.udp ?port () with
+        | Ok s -> s
+        | Error _ -> Alcotest.fail "bind"
+      in
+      let server = bind 1 (Some 7000) and client = bind 0 None in
+      let dst = Scenarios.Endpoint.ip t.Mesh.guests.(1).Mesh.g_endpoint in
+      (* Above the inline threshold: each datagram rides a pool slot. *)
+      let payload tag i = Bytes.make 1200 (Char.chr ((tag * 16) + i)) in
+      let send tag =
+        for i = 0 to 7 do
+          Udp.sendto client ~dst ~dst_port:7000 (payload tag i)
+        done
+      in
+      let via () = (Gm.stats t.Mesh.guests.(0).Mesh.g_module).Gm.via_channel_tx in
+      let before = via () in
+      send 1;
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      Alcotest.(check int) "first batch rode the channel" (before + 8) (via ());
+      Alcotest.(check bool) "evicted" true
+        (Gm.evict_lru t.Mesh.guests.(0).Mesh.g_module);
+      Sim.Engine.sleep (Sim.Time.ms 10);
+      let fresh = Fa.fresh_pages frames in
+      Mesh.ping t ~src:0 ~dst:1;
+      Sim.Engine.sleep (Sim.Time.ms 2);
+      Alcotest.(check bool) "channel back up" true
+        (Gm.has_channel_with t.Mesh.guests.(0).Mesh.g_module ~domid:(domid t 1));
+      Alcotest.(check int) "bring-up reused the old storage" fresh
+        (Fa.fresh_pages frames);
+      let before = via () in
+      send 2;
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      Alcotest.(check int) "so did the second" (before + 8) (via ());
+      List.iter
+        (fun tag ->
+          for i = 0 to 7 do
+            match Udp.recv_opt server with
+            | Some (_, _, got) ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "batch %d datagram %d intact" tag i)
+                  true
+                  (Bytes.equal got (payload tag i))
+            | None -> Alcotest.failf "batch %d datagram %d missing" tag i
+          done)
+        [ 1; 2 ])
+
 (* ------------------------------------------------------------------ *)
 (* Cost meter *)
 
@@ -319,6 +460,15 @@ let suites =
         Alcotest.test_case "exhaustion and batches" `Quick test_frames_exhaustion;
         Alcotest.test_case "double free rejected" `Quick test_frames_double_free_rejected;
         Alcotest.test_case "release_all on destruction" `Quick test_frames_release_all;
+        Alcotest.test_case "reused page reads as zeros" `Quick test_frames_reuse_zeroed;
+        Alcotest.test_case "stale release raises after reuse" `Quick
+          test_frames_stale_release_after_reuse;
+        Alcotest.test_case "release_all frames never reused" `Quick
+          test_frames_release_all_not_reused;
+        Alcotest.test_case "still-mapped pages wait for the reaper" `Quick
+          test_still_mapped_waits_for_reaper;
+        Alcotest.test_case "socket bytes survive storage reuse" `Quick
+          test_socket_bytes_survive_reuse;
       ] );
     ( "memory.cost_meter",
       [

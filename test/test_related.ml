@@ -186,6 +186,30 @@ let test_pipe_close_delivers_eof () =
       let eof = Xs.recv reader ~max:100 in
       Alcotest.(check int) "eof" 0 (Bytes.length eof))
 
+(* The reader closes while the writer still maps the pipe: its pages
+   cannot go back to the machine yet, or the next allocation could hand
+   storage the writer still writes through to someone else. *)
+let test_pipe_close_keeps_mapped_pages () =
+  run_sim (fun engine ->
+      let machine, d1, d2 = make_world engine in
+      let frames = Machine.frame_allocator machine in
+      let reader, handle =
+        Xs.create_pipe ~machine ~owner:d2 ~writer_domid:(Domain.domid d1) ()
+      in
+      let _writer =
+        match Xs.connect ~machine ~domain:d1 ~reader_domid:(Domain.domid d2) handle with
+        | Ok w -> w
+        | Error e -> Alcotest.failf "connect: %s" e
+      in
+      let pipe_pages = Memory.Frame_allocator.owned_by frames (Domain.domid d2) in
+      Xs.close_reader reader;
+      Alcotest.(check int) "mapped pages stay charged to the reader" pipe_pages
+        (Memory.Frame_allocator.owned_by frames (Domain.domid d2));
+      let fresh = Memory.Frame_allocator.fresh_pages frames in
+      ignore (Memory.Frame_allocator.allocate frames ~owner:(Domain.domid d1));
+      Alcotest.(check int) "and none is handed out again" (fresh + 1)
+        (Memory.Frame_allocator.fresh_pages frames))
+
 let test_pipe_wrong_domain_cannot_connect () =
   run_sim (fun engine ->
       let machine, d1, d2 = make_world engine in
@@ -292,6 +316,8 @@ let suites =
         Alcotest.test_case "end to end" `Quick test_pipe_end_to_end;
         Alcotest.test_case "blocking backpressure" `Quick test_pipe_blocking_backpressure;
         Alcotest.test_case "close delivers eof" `Quick test_pipe_close_delivers_eof;
+        Alcotest.test_case "close keeps mapped pages" `Quick
+          test_pipe_close_keeps_mapped_pages;
         Alcotest.test_case "grant isolation" `Quick test_pipe_wrong_domain_cannot_connect;
       ] );
     ( "related.xway",
