@@ -1026,98 +1026,6 @@ let run_mixed ~params ~smoke () =
         mx_queue_counters;
       })
 
-(* ------------------------------------------------------------------ *)
-(* Poll-mode sweep: TCP_RR with the adaptive doorbell + poll-window
-   receiver against the run-to-completion busy-poll receiver (DESIGN.md
-   §11), at 1 and 4 queues.  Busy-poll trades a spinning receiver fiber
-   for the doorbell round-trip on every transaction, so the win shows up
-   in the tail: busy-poll p99 must land below adaptive p99. *)
-
-type poll_point = {
-  pp_mode : string;  (* "adaptive" | "busy-poll" *)
-  pp_queues : int;
-  pp_transactions : int;
-  pp_p50_us : float;
-  pp_p99_us : float;
-  pp_counters : Sim.Counters.snapshot;
-}
-
-let run_poll_point ~smoke ~poll ~queues () =
-  let params =
-    {
-      Hypervisor.Params.default with
-      Hypervisor.Params.xenloop_poll_mode = poll;
-      xenloop_queues = queues;
-    }
-  in
-  let ctx = make_ctx ~params Setup.Xenloop_path in
-  in_ctx ctx (fun { duo; client; server; dst } ->
-      (* The rr flow runs against a concurrent paced UDP stream between
-         the same guest pair: an idle deterministic channel gives every
-         transaction the identical latency (p50 == p99 exactly, which is
-         a sampling artifact, not a tail), while the background load
-         injects real queueing variance so the busy-poll-vs-adaptive
-         comparison actually measures the tail it claims to. *)
-      let engine = Host.engine client in
-      let stop = ref false in
-      let sink =
-        match Netstack.Udp.bind server.Host.udp ~port:9200 () with
-        | Ok s -> s
-        | Error _ -> failwith "poll_sweep: sink bind"
-      in
-      Sim.Engine.spawn (Host.engine server) (fun () ->
-          while not !stop do
-            match Netstack.Udp.recv_opt sink with
-            | Some _ -> ()
-            | None -> Sim.Engine.sleep (Sim.Time.us 50)
-          done);
-      let blast =
-        match Netstack.Udp.bind client.Host.udp () with
-        | Ok s -> s
-        | Error _ -> failwith "poll_sweep: blast bind"
-      in
-      let payload = Bytes.make 4096 'p' in
-      Sim.Engine.spawn engine (fun () ->
-          while not !stop do
-            for _ = 1 to 4 do
-              Netstack.Udp.sendto blast ~dst ~dst_port:9200 payload
-            done;
-            Sim.Engine.sleep (Sim.Time.us 50)
-          done);
-      (* Let the blast establish a standing backlog before sampling. *)
-      Sim.Engine.sleep (Sim.Time.us 300);
-      let before = module_totals duo.Setup.modules in
-      let n = if smoke then 150 else 1500 in
-      let r = Netperf.tcp_rr ~client ~server ~dst ~transactions:n () in
-      stop := true;
-      Sim.Engine.sleep (Sim.Time.ms 1);
-      let c = Sim.Counters.diff (module_totals duo.Setup.modules) before in
-      {
-        pp_mode = (if poll then "busy-poll" else "adaptive");
-        pp_queues = queues;
-        pp_transactions = r.Netperf.transactions;
-        pp_p50_us = r.Netperf.p50_latency_us;
-        pp_p99_us = r.Netperf.p99_latency_us;
-        pp_counters = c;
-      })
-
-let poll_sweep ~smoke =
-  List.concat_map
-    (fun queues ->
-      List.map (fun poll -> run_poll_point ~smoke ~poll ~queues ()) [ false; true ])
-    [ 1; 4 ]
-
-let json_of_poll_point p =
-  let n = J.int p.pp_transactions in
-  J.Obj
-    ([
-       ("mode", J.Str p.pp_mode); ("queues", J.int p.pp_queues);
-       ("transactions", n); ("rr_p50_latency_us", J.fixed 3 p.pp_p50_us);
-       ("rr_p50_latency_us_n", n); ("rr_p99_latency_us", J.fixed 3 p.pp_p99_us);
-       ("rr_p99_latency_us_n", n);
-     ]
-    @ Sim.Counters.json_members p.pp_counters)
-
 let notifies_per_packet c =
   let delivered = count c "via_channel_rx" in
   if delivered = 0 then 0.0
@@ -2094,7 +2002,6 @@ let json_mode ~smoke path =
           ~smoke ())
       qs
   in
-  let poll_points = poll_sweep ~smoke in
   let sweep =
     (* Fig. 5 sensitivity under the optimized path. *)
     let ks = if smoke then [ 9; 13 ] else [ 9; 10; 11; 12; 13; 14; 15 ] in
@@ -2150,7 +2057,6 @@ let json_mode ~smoke path =
                    ])
                results) );
         ("mixed_queue_sweep", J.Arr (List.map json_of_mixed queue_sweep));
-        ("poll_sweep", J.Arr (List.map json_of_poll_point poll_points));
         ( "fifo_sweep_udp_stream",
           J.Arr
             (List.map
@@ -2189,12 +2095,6 @@ let json_mode ~smoke path =
       Printf.printf "mixed q=%d    stream %8.1f Mbps  rr p99 %8.1f us\n"
         m.mx_queues m.mx_stream_mbps m.mx_rr_p99_us)
     queue_sweep;
-  List.iter
-    (fun p ->
-      Printf.printf "poll %-9s q=%d  rr p50 %7.1f us  p99 %7.1f us  notifies %d\n"
-        p.pp_mode p.pp_queues p.pp_p50_us p.pp_p99_us
-        (count p.pp_counters "notifies_sent"))
-    poll_points;
   List.iter
     (fun (name, points) ->
       List.iter
@@ -2238,15 +2138,6 @@ let json_mode ~smoke path =
         mismatch "gso size=%d: offload on delivered %d bytes, off delivered %d"
           size on.gp_delivered off.gp_delivered)
     gso_points;
-  let p0 = List.hd poll_points in
-  List.iter
-    (fun p ->
-      if p.pp_transactions <> p0.pp_transactions then
-        mismatch
-          "poll_sweep: %s q=%d completed %d transactions but %s q=%d completed %d"
-          p.pp_mode p.pp_queues p.pp_transactions p0.pp_mode p0.pp_queues
-          p0.pp_transactions)
-    poll_points;
   let m0 = List.hd queue_sweep in
   List.iter
     (fun m ->

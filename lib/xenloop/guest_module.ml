@@ -486,7 +486,7 @@ let notify_peer ?(force = false) t q =
   let p = params t in
   if
     (not force)
-    && (p.Params.xenloop_notify_suppression || p.Params.xenloop_poll_mode)
+    && p.Params.xenloop_notify_suppression
     && live q
     && Fifo.consumer_active q.out_fifo
   then Counters.bump q.q_counts C.notifies_suppressed
@@ -1564,9 +1564,9 @@ let retire t ch ~backlog ~tell_peer =
 
 (* Unregister [ch] if it is still the channel registered for
    [peer_domid], before retiring it (retirement yields the CPU).  An
-   event handler parked in its poll window, or a busy-poll poller, can
-   wake after [unload] already disengaged or replaced this very channel;
-   only the first retirement may clean up. *)
+   event handler parked in its poll window can wake after [unload]
+   already disengaged or replaced this very channel; only the first
+   retirement may clean up. *)
 let unregister t peer_domid ch =
   match Hashtbl.find_opt t.peers peer_domid with
   | Some (Active ch') when ch' == ch ->
@@ -1824,76 +1824,8 @@ let poll_for_more t q =
     !got_work
   end
 
-(* ------------------------------------------------------------------ *)
-(* Busy-poll receive mode (DPDK-style run-to-completion) *)
-
-let channel_current t peer_domid ch =
-  match Hashtbl.find_opt t.peers peer_domid with
-  | Some (Active ch') -> ch' == ch
-  | Some (Bootstrapping _ | Failed_until _) | None -> false
-
-(* One pinned poller fiber per queue, started when the channel connects:
-   it publishes consumer-active permanently (so the peer's sends are
-   doorbell-free from the first packet) and spins run-to-completion on the
-   descriptor rings.  An idle queue eases off in three phases —
-   spin (hot loop) → pause (PAUSE-instruction analogue) → sleep — each a
-   re-check granularity far below [evtchn_delivery], which is where the
-   rr latency win comes from.  Idle iterations advance only this fiber's
-   virtual time, not the shared CPU resource: the model is a core pinned
-   to the poller, burning cycles nobody else wanted (DESIGN.md §11). *)
-let start_poller t peer_domid ch q =
-  Sim.Engine.spawn (engine t) (fun () ->
-      let p = params t in
-      (try Fifo.set_consumer_active q.in_fifo true with Invalid_argument _ -> ());
-      let idle = ref 0 in
-      let running = ref true in
-      while !running do
-        if not (t.loaded && channel_current t peer_domid ch) then
-          (* Unloaded, migrated, or the channel was replaced/torn down
-             while we slept; never touch pages that may be reclaimed. *)
-          running := false
-        else if not (queue_active q) then begin
-          (* Peer-initiated teardown: with event handlers disengaged, the
-             poller is the one who notices and runs the disengage. *)
-          running := false;
-          handle_peer_teardown t peer_domid ch
-        end
-        else begin
-          match
-            let consumed = drain_incoming t q in
-            let pushed = drain_waiting t q in
-            consumed + pushed
-          with
-          | exception Corrupt_channel ->
-              running := false;
-              quarantine t peer_domid ch
-          | 0 ->
-              incr idle;
-              Counters.bump t.s C.poll_rounds;
-              let span =
-                if !idle <= p.Params.xenloop_poll_spin_iters then
-                  p.Params.xenloop_poll_spin
-                else if
-                  !idle
-                  <= p.Params.xenloop_poll_spin_iters
-                     + p.Params.xenloop_poll_pause_iters
-                then p.Params.xenloop_poll_pause
-                else p.Params.xenloop_poll_sleep
-              in
-              Sim.Engine.sleep span
-          | _ -> idle := 0
-        end
-      done)
-
-let maybe_start_pollers t peer_domid ch =
-  if (params t).Params.xenloop_poll_mode then
-    Array.iter (fun q -> start_poller t peer_domid ch q) ch.queues
-
 let on_event t peer_domid qi () =
-  (* In busy-poll mode the pollers own the receive path: the doorbell
-     handler stands down entirely (notifies are suppressed anyway, but
-     bootstrap-era stragglers must not interleave with a poller's drain). *)
-  if t.loaded && not (params t).Params.xenloop_poll_mode then begin
+  if t.loaded then begin
     match Hashtbl.find_opt t.peers peer_domid with
     | Some (Active ch) when qi < Array.length ch.queues -> (
         let q = ch.queues.(qi) in
@@ -1972,6 +1904,36 @@ let on_event t peer_domid qi () =
         end)
     | Some (Active _) | Some (Bootstrapping _) | Some (Failed_until _) | None -> ()
   end
+
+(* ------------------------------------------------------------------ *)
+(* Bootstrap: both ends *)
+
+(* One queue as either bootstrap end builds it, from the FIFOs, port and
+   pools it set up and the limits it negotiated.  Our tx pool picks up the
+   module's allocation-fault injector here, so a queue created after
+   [set_pool_fault_injector] inherits it. *)
+let make_queue t ~qi ~out_fifo ~in_fifo ~port ~tx_pool ~rx_pool ~inline_max
+    ~max_loans ~gso_max =
+  (match tx_pool with
+  | Some pool -> Payload_pool.set_alloc_fault pool t.pool_fault
+  | None -> ());
+  {
+    q_index = qi;
+    out_fifo;
+    in_fifo;
+    q_port = port;
+    waiting = Queue.create ();
+    q_sched = make_queue_sched t;
+    q_tx_pool = tx_pool;
+    q_rx_pool = rx_pool;
+    q_inline_max = inline_max;
+    q_busy = false;
+    q_tx_draining = false;
+    q_retired = None;
+    q_counts = Counters.scope ~parent:t.s C.registry;
+    q_max_loans = max_loans;
+    q_gso_max = gso_max;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Bootstrap: listener side *)
@@ -2158,7 +2120,7 @@ let listener_create t ~peer_domid ~peer_mac ~peer_queues ~peer_zc ~peer_loans
               @ !all_grefs;
             (pp, ctrl_gref)
           in
-          let make_queue qi =
+          let build_queue qi =
             let qp = Fifo.carve_queue ~pool ~k:t.k ~index:qi in
             Fifo.init ~desc:qp.Fifo.qp_desc_lc ~data:qp.Fifo.qp_data_lc ~k:t.k;
             Fifo.init ~desc:qp.Fifo.qp_desc_cl ~data:qp.Fifo.qp_data_cl ~k:t.k;
@@ -2180,29 +2142,16 @@ let listener_create t ~peer_domid ~peer_mac ~peer_queues ~peer_zc ~peer_loans
             Ec.set_handler ec ~dom:domid ~port (on_event t peer_domid qi);
             all_ports := port :: !all_ports;
             let q =
-              {
-                q_index = qi;
-                out_fifo = Fifo.attach ~desc:qp.Fifo.qp_desc_lc ~data:qp.Fifo.qp_data_lc;
-                in_fifo = Fifo.attach ~desc:qp.Fifo.qp_desc_cl ~data:qp.Fifo.qp_data_cl;
-                q_port = port;
-                waiting = Queue.create ();
-                q_sched = make_queue_sched t;
-                q_tx_pool =
-                  (match pools with Some ((lc, _), _) -> Some lc | None -> None);
-                q_rx_pool =
-                  (match pools with Some (_, (cl, _)) -> Some cl | None -> None);
-                q_inline_max = inline_max;
-                q_busy = false;
-                q_tx_draining = false;
-                q_retired = None;
-                q_counts = Counters.scope ~parent:t.s C.registry;
-                q_max_loans = max_loans;
-                q_gso_max = gso_max;
-              }
+              make_queue t ~qi
+                ~out_fifo:
+                  (Fifo.attach ~desc:qp.Fifo.qp_desc_lc ~data:qp.Fifo.qp_data_lc)
+                ~in_fifo:
+                  (Fifo.attach ~desc:qp.Fifo.qp_desc_cl ~data:qp.Fifo.qp_data_cl)
+                ~port
+                ~tx_pool:(Option.map (fun ((lc, _), _) -> lc) pools)
+                ~rx_pool:(Option.map (fun (_, (cl, _)) -> cl) pools)
+                ~inline_max ~max_loans ~gso_max
             in
-            (match q.q_tx_pool with
-            | Some pool -> Payload_pool.set_alloc_fault pool t.pool_fault
-            | None -> ());
             let qg_lc_pool, qg_cl_pool =
               match pools with
               | Some ((_, lc_gref), (_, cl_gref)) -> (Some lc_gref, Some cl_gref)
@@ -2217,7 +2166,7 @@ let listener_create t ~peer_domid ~peer_mac ~peer_queues ~peer_zc ~peer_loans
                 qg_cl_pool;
               } )
           in
-          let built = Array.init nq make_queue in
+          let built = Array.init nq build_queue in
           let queues = Array.map fst built in
           let grants = Array.to_list (Array.map snd built) in
           let grefs = !all_grefs and ports = !all_ports in
@@ -2404,7 +2353,7 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
                            its tx pool is the cl pool; the threshold is the
                            conservative max of both sides' settings (the
                            listener's rides in the pool control page). *)
-                        let q_tx_pool, q_rx_pool, q_inline_max =
+                        let tx_pool, rx_pool, q_inline_max =
                           match pools with
                           | `No_pools -> (None, None, inline_max)
                           | `Pools (lp, cp) ->
@@ -2416,7 +2365,7 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
                            into the pool control page; a stamp of zero (or
                            this side opting out) disables loans for the
                            queue on both ends. *)
-                        let q_max_loans =
+                        let max_loans =
                           match pools with
                           | `No_pools -> 0
                           | `Pools (lp, _) ->
@@ -2428,7 +2377,7 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
                         (* Same negotiation for the jumbo ceiling: each
                            side uses the min of its own configured limit
                            and the listener's stamp. *)
-                        let q_gso_max =
+                        let gso_max =
                           match pools with
                           | `No_pools -> 0
                           | `Pools (lp, _) ->
@@ -2438,28 +2387,10 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
                               else 0
                         in
                         let q =
-                          {
-                            q_index = qi;
-                            out_fifo = cl_fifo;
-                            in_fifo = lc_fifo;
-                            q_port = port;
-                            waiting = Queue.create ();
-                            q_sched = make_queue_sched t;
-                            q_tx_pool;
-                            q_rx_pool;
-                            q_inline_max;
-                            q_busy = false;
-                            q_tx_draining = false;
-                q_retired = None;
-                            q_counts = Counters.scope ~parent:t.s C.registry;
-                            q_max_loans;
-                            q_gso_max;
-                          }
+                          make_queue t ~qi ~out_fifo:cl_fifo ~in_fifo:lc_fifo
+                            ~port ~tx_pool ~rx_pool ~inline_max:q_inline_max
+                            ~max_loans ~gso_max
                         in
-                        (match q.q_tx_pool with
-                        | Some pool ->
-                            Payload_pool.set_alloc_fault pool t.pool_fault
-                        | None -> ());
                         build (qi + 1) (q :: acc) rest))
             | _ -> None)
       in
@@ -2493,12 +2424,9 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
             listener_domid (Array.length queues);
           send_ctrl t ~dst_mac:listener_mac
             (Proto.Channel_ack { connector_domid = domid });
-          maybe_start_pollers t listener_domid ch;
           (* Anything already in the FIFOs must not wait for another
-             notification that may never come (in poll mode the pollers
-             just spawned cover this). *)
-          if not p.Params.xenloop_poll_mode then
-            Array.iteri (fun qi _ -> on_event t listener_domid qi ()) queues)
+             notification that may never come. *)
+          Array.iteri (fun qi _ -> on_event t listener_domid qi ()) queues)
 
 (* ------------------------------------------------------------------ *)
 (* Control-plane input *)
@@ -2651,15 +2579,12 @@ let on_ctrl_packet t (packet : P.t) =
                   "dom%d: channel to dom%d connected (listener, %d queue(s))"
                   (my_domid t) connector_domid
                   (Array.length ba.ba_channel.queues);
-                maybe_start_pollers t connector_domid ba.ba_channel;
                 (* The connector may have pushed data before its ack reached
                    us; the matching notification was consumed while we were
-                   still awaiting the ack, so drain every queue now (in poll
-                   mode the pollers just spawned cover this). *)
-                if not (params t).Params.xenloop_poll_mode then
-                  Array.iteri
-                    (fun qi _ -> on_event t connector_domid qi ())
-                    ba.ba_channel.queues
+                   still awaiting the ack, so drain every queue now. *)
+                Array.iteri
+                  (fun qi _ -> on_event t connector_domid qi ())
+                  ba.ba_channel.queues
             | Some _ | None -> ()))
     | P.Ipv4_body _ | P.Arp_body _ -> ()
   end

@@ -130,9 +130,9 @@ val read : t -> slot:int -> off:int -> len:int -> Bytes.t
 
 val read_into :
   t -> slot:int -> off:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit
-(** {!read} into a caller-owned buffer — the busy-poll receive loop's
-    zero-allocation path, and the receive path's one copy of a payload
-    out of the pool. *)
+(** {!read} into a caller-owned buffer: the receive path's one copy of a
+    payload out of the pool, and with {!Fifo.pop_into} a receive cycle
+    that allocates nothing. *)
 
 val sanity : t -> string option
 (** Chaos-harness invariant: slot conservation over the shared free ring —

@@ -71,11 +71,13 @@ let test_fifo_roundtrip_zero_alloc () =
   check_words "fifo push_entry+pop_into" ~bound:0.0 per
 
 let test_busy_poll_receive_zero_alloc () =
-  (* The busy-poll receive cycle (DESIGN.md §11): producer writes a slot
-     and publishes a descriptor; the spinning consumer pops it with
-     [pop_into], borrows the slot, reads it into a reusable scratch
-     buffer, and releases the borrow.  Run-to-completion, and — like the
-     FIFO path it extends — it must allocate EXACTLY nothing. *)
+  (* A descriptor receive cycle on the zero-allocation entry points
+     (DESIGN.md §10): producer writes a slot and publishes a descriptor;
+     the consumer pops it with [pop_into], borrows the slot, reads it
+     into a reusable scratch buffer, and releases the borrow.  Like the
+     FIFO path it extends, it must allocate EXACTLY nothing.  (The test
+     name dates from the removed busy-poll mode; the channel's own
+     receive path pops with [pop_entry].) *)
   let module Page = Memory.Page in
   let module Fifo = Xenloop.Fifo in
   let module Pool = Xenloop.Payload_pool in
@@ -110,7 +112,7 @@ let test_busy_poll_receive_zero_alloc () =
   (* Warm one cycle so first-touch effects are outside the window. *)
   cycle ();
   let per = minor_per_iter ~iters:50_000 cycle in
-  check_words "busy-poll pop_into+loan+read_into+release" ~bound:0.0 per
+  check_words "pop_into+loan+read_into+release" ~bound:0.0 per
 
 let test_engine_sleep_wake_slack () =
   let e = Sim.Engine.create () in

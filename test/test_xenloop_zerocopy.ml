@@ -283,6 +283,79 @@ let test_negotiation_falls_back_without_peer_support () =
            0
            (Gm.queue_counters m1 ~domid:2)))
 
+(* Every pair of advertisements, one per side: each endpoint builds its
+   queues from what it set up and what it negotiated, so the three
+   capabilities must come out the same on both modules, equal to what
+   both sides advertised, and a datagram above the inline threshold must
+   cross intact in both directions (one direction per bootstrap role). *)
+let advertisements =
+  [
+    ("zc off", (false, false, false)); ("zc", (true, false, false));
+    ("zc+loans", (true, true, false)); ("zc+gso", (true, false, true));
+    ("zc+loans+gso", (true, true, true));
+  ]
+
+let test_negotiation_matrix () =
+  let negotiate (name_a, (zc_a, loans_a, gso_a)) (name_b, (zc_b, loans_b, gso_b)) =
+    let pair = Printf.sprintf "%s / %s" name_a name_b in
+    let duo = Setup.build Setup.Xenloop_path in
+    let machine = Option.get duo.Setup.machine in
+    let load domid (ep : Scenarios.Endpoint.t) ~zerocopy ~loans ~gso =
+      let domain = Option.get (Hypervisor.Machine.domain machine domid) in
+      Gm.create ~domain ~stack:ep.Scenarios.Endpoint.stack
+        ~current_machine:(fun () -> machine)
+        ~zerocopy ~loans ~gso ()
+    in
+    let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+    Experiment.run_process duo.Setup.engine (fun () ->
+        (* Replace the default modules before discovery ever runs. *)
+        List.iter Gm.unload duo.Setup.modules;
+        let m1 = load 1 duo.Setup.client ~zerocopy:zc_a ~loans:loans_a ~gso:gso_a in
+        let m2 = load 2 duo.Setup.server ~zerocopy:zc_b ~loans:loans_b ~gso:gso_b in
+        duo.Setup.warmup ();
+        let check what expected active =
+          Alcotest.(check bool) (Printf.sprintf "%s: %s (client)" pair what) expected
+            (active m1 ~domid:2);
+          Alcotest.(check bool) (Printf.sprintf "%s: %s (server)" pair what) expected
+            (active m2 ~domid:1)
+        in
+        let zc = zc_a && zc_b in
+        check "zerocopy" zc Gm.zerocopy_active;
+        check "loans" (zc && loans_a && loans_b) Gm.loans_active;
+        check "gso" (zc && gso_a && gso_b) Gm.gso_active;
+        let size = Hypervisor.Params.default.Hypervisor.Params.xenloop_inline_max + 1000 in
+        let cross ~from ~to_ ~dst ~sender ~receiver port =
+          let rx =
+            match Netstack.Udp.bind to_.Workloads.Host.udp ~port () with
+            | Ok s -> s
+            | Error _ -> Alcotest.fail "bind"
+          in
+          let tx =
+            match Netstack.Udp.bind from.Workloads.Host.udp () with
+            | Ok s -> s
+            | Error _ -> Alcotest.fail "bind"
+          in
+          let payload = Bytes.init size (fun i -> Char.chr ((i * 7 + port) land 0xff)) in
+          let desc0 = (Gm.stats sender).Gm.desc_tx in
+          let rx0 = (Gm.stats receiver).Gm.via_channel_rx in
+          Netstack.Udp.sendto tx ~dst ~dst_port:port payload;
+          let _, _, got = Netstack.Udp.recvfrom rx in
+          Alcotest.(check bytes) (Printf.sprintf "%s: port %d intact" pair port) payload got;
+          Alcotest.(check bool) (Printf.sprintf "%s: port %d via channel" pair port) true
+            ((Gm.stats receiver).Gm.via_channel_rx > rx0);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: port %d rode a descriptor" pair port)
+            zc
+            ((Gm.stats sender).Gm.desc_tx > desc0)
+        in
+        cross ~from:client ~to_:server ~dst:duo.Setup.server_ip ~sender:m1
+          ~receiver:m2 931;
+        cross ~from:server ~to_:client
+          ~dst:(Scenarios.Endpoint.ip duo.Setup.client)
+          ~sender:m2 ~receiver:m1 932)
+  in
+  List.iter (fun a -> List.iter (negotiate a) advertisements) advertisements
+
 let test_slot_starvation_degrades_to_inline () =
   (* Two pool slots per queue and a receiver pinned off-CPU: a burst of
      large datagrams must exhaust the pool, degrade the overflow to the
@@ -565,6 +638,7 @@ let suites =
           test_negotiation_enables_pools;
         Alcotest.test_case "fallback without peer support" `Quick
           test_negotiation_falls_back_without_peer_support;
+        Alcotest.test_case "negotiation matrix" `Quick test_negotiation_matrix;
         Alcotest.test_case "slot starvation degrades to inline" `Quick
           test_slot_starvation_degrades_to_inline;
         Alcotest.test_case "stranded descriptor teardown reclaim" `Quick
