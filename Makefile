@@ -42,7 +42,7 @@ engine-check: build
 # Data-path gate: with loaned-slot receive on (the default), a 16 KiB TCP
 # stream must cross the channel at <= 0.1 memcpy'd bytes per delivered
 # byte; more means the zero-copy borrow silently degenerated to copy-out.
-# The same stream must also cost the simulator <= 0.92 direct major-heap
+# The same stream must also cost the simulator <= 0.76 direct major-heap
 # words per delivered byte (host copies / 8; DESIGN.md §10).
 datapath-check: build
 	dune exec bench/main.exe -- --datapath-check

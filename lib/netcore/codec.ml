@@ -76,7 +76,7 @@ type cursor = {
 }
 
 let r8 c =
-  if c.pos >= Bytes.length c.data then raise Short;
+  if c.pos >= c.limit || c.pos >= Bytes.length c.data then raise Short;
   let v = Char.code (Bytes.get c.data c.pos) in
   c.pos <- c.pos + 1;
   v
@@ -131,14 +131,17 @@ let tcp_flags_of_bits bits : Transport.tcp_flags =
     ack = bits land 0x10 <> 0;
   }
 
-(* Serialize transport header with a zero checksum field into [w], then
-   patch the real checksum (computed over header + payload) in place.
-   [~csum:false] leaves the field zero — the checksum-elision contract on
-   the trusted xenloop channel (DESIGN.md §15): such bytes are only valid
-   against [parse ~verify_transport:false], and any path that re-enters
-   an untrusted transport (netfront, physnet) must re-serialize, which
+(* Write the transport header into [w] and, unless [~csum:false], patch
+   in the checksum over that header and [payload], which the caller puts
+   right behind it: the sum is taken over the two parts, so the payload
+   need not sit in the same buffer.  Every transport header has an even
+   length, so the parts' sums add like the sum of the whole.  The elided
+   field stays zero — the checksum-elision contract on the trusted
+   xenloop channel (DESIGN.md §15): such bytes are only valid against
+   [parse ~verify_transport:false], and any path that re-enters an
+   untrusted transport (netfront, physnet) re-serializes, which
    recomputes. *)
-let write_transport ?(csum = true) w transport ~payload =
+let write_transport_header ~csum w transport ~payload =
   let start = w.wpos in
   let cksum_off =
     match transport with
@@ -166,19 +169,23 @@ let write_transport ?(csum = true) w transport ~payload =
         w16 w 0;
         16
   in
-  wbytes w payload;
   if csum then begin
-    let cksum = Checksum.compute w.wdata ~off:start ~len:(w.wpos - start) in
+    let sum =
+      Checksum.ones_complement_sum w.wdata ~off:start ~len:(w.wpos - start)
+      + Checksum.ones_complement_sum payload ~off:0 ~len:(Bytes.length payload)
+    in
+    let sum = (sum land 0xFFFF) + (sum lsr 16) in
+    let cksum = lnot ((sum land 0xFFFF) + (sum lsr 16)) land 0xFFFF in
     Bytes.set_uint8 w.wdata (start + cksum_off) (cksum lsr 8);
     Bytes.set_uint8 w.wdata (start + cksum_off + 1) (cksum land 0xFF)
   end
-  else ignore cksum_off
 
 let serialize_transport ?(csum = true) transport ~payload =
   let w =
     { wdata = Bytes.create (transport_length transport ~payload); wpos = 0 }
   in
-  write_transport ~csum w transport ~payload;
+  write_transport_header ~csum w transport ~payload;
+  wbytes w payload;
   w.wdata
 
 (* Parse the transport header at the cursor, in place; the transport
@@ -352,29 +359,57 @@ let body_length (body : Packet.body) =
   | Packet.Arp_body _ -> arp_length
   | Packet.Xenloop_body data -> 2 + Bytes.length data
 
-let serialize ?(csum = true) (p : Packet.t) =
-  let w =
-    { wdata = Bytes.create (ethernet_header_length + body_length p.body);
-      wpos = 0 }
-  in
+type sink = Bytes.t -> src_off:int -> dst_off:int -> len:int -> unit
+
+(* The one serializer.  The header prefix is built in [hdr] and the
+   payload — the transport payload, a fragment's blob or a control body —
+   goes to the sink straight from the packet's own bytes, so a frame
+   becomes bytes only where the sink puts it. *)
+let write_with ~hdr ~csum (p : Packet.t) (sink : sink) =
+  let w = { wdata = hdr; wpos = 0 } in
   wmac w p.dst_mac;
   wmac w p.src_mac;
   w16 w (Packet.ethertype p.body);
-  (match p.body with
-  | Packet.Ipv4_body { header; content } -> (
-      match content with
-      | Packet.Full { transport; payload } ->
-          serialize_ipv4_header w header
-            ~content_length:(transport_length transport ~payload);
-          write_transport ~csum w transport ~payload
-      | Packet.Fragment blob ->
-          serialize_ipv4_header w header ~content_length:(Bytes.length blob);
-          wbytes w blob)
-  | Packet.Arp_body a -> serialize_arp w a
-  | Packet.Xenloop_body data ->
-      w16 w (Bytes.length data);
-      wbytes w data);
-  w.wdata
+  let payload =
+    match p.body with
+    | Packet.Ipv4_body { header; content = Packet.Full { transport; payload } }
+      ->
+        serialize_ipv4_header w header
+          ~content_length:(transport_length transport ~payload);
+        write_transport_header ~csum w transport ~payload;
+        payload
+    | Packet.Ipv4_body { header; content = Packet.Fragment blob } ->
+        serialize_ipv4_header w header ~content_length:(Bytes.length blob);
+        blob
+    | Packet.Arp_body a ->
+        serialize_arp w a;
+        Bytes.empty
+    | Packet.Xenloop_body data ->
+        w16 w (Bytes.length data);
+        data
+  in
+  sink hdr ~src_off:0 ~dst_off:0 ~len:w.wpos;
+  if Bytes.length payload > 0 then
+    sink payload ~src_off:0 ~dst_off:w.wpos ~len:(Bytes.length payload)
+
+(* Ethernet + IPv4 + TCP, the longest header stack a frame carries; ARP
+   (14 + 28) and the control header (14 + 2) are shorter. *)
+let header_room = ethernet_header_length + Ipv4.header_length + 20
+
+(* Where [write] builds header prefixes: the simulator is one thread, and
+   [write] neither yields nor reenters. *)
+let hdr_scratch = Bytes.create header_room
+
+let write ~csum p sink = write_with ~hdr:hdr_scratch ~csum p sink
+
+let serialize ?(csum = true) (p : Packet.t) =
+  let frame =
+    Bytes.create (ethernet_header_length + body_length p.body)
+  in
+  (* The header is built in place, so only the payload is copied. *)
+  write_with ~hdr:frame ~csum p (fun src ~src_off ~dst_off ~len ->
+      if src != frame then Bytes.blit src src_off frame dst_off len);
+  frame
 
 let parse_cursor ~verify_transport c =
   try
@@ -394,13 +429,10 @@ let parse_cursor ~verify_transport c =
     Result.map (fun body -> { Packet.src_mac; dst_mac; body }) body
   with Short -> Error Truncated
 
-let parse ?(verify_transport = true) data =
-  parse_cursor ~verify_transport
-    { data; limit = Bytes.length data; scatter = None; pos = 0 }
-
-(* Ethernet + IPv4 + TCP, the longest header stack a frame carries; ARP
-   (14 + 28) and the control header (14 + 2) are shorter. *)
-let header_room = ethernet_header_length + Ipv4.header_length + 20
+let parse ?(verify_transport = true) ?len data =
+  let limit = Option.value len ~default:(Bytes.length data) in
+  if limit < 0 || limit > Bytes.length data then invalid_arg "Codec.parse: len";
+  parse_cursor ~verify_transport { data; limit; scatter = None; pos = 0 }
 
 let parse_scattered ~len ~prefix ~fill =
   if Bytes.length prefix <> min len header_room then

@@ -16,18 +16,34 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val serialize : ?csum:bool -> Packet.t -> Bytes.t
-(** [~csum:false] leaves the transport checksum field zero (checksum
-    elision on the trusted xenloop channel, DESIGN.md §15).  Such bytes
-    parse only with [~verify_transport:false]; re-serializing them with
-    the default [~csum:true] — as any netfront/physnet fallback does —
-    reproduces the always-compute baseline bit for bit.  IPv4 header
-    checksums are always computed. *)
+type sink = Bytes.t -> src_off:int -> dst_off:int -> len:int -> unit
+(** Where a frame's bytes go: [sink src ~src_off ~dst_off ~len] stores
+    [len] bytes of [src] from [src_off] at offset [dst_off] of the frame.
+    A serialized buffer, a FIFO ring entry, or the pool slots of a
+    descriptor. *)
 
-val parse : ?verify_transport:bool -> Bytes.t -> (Packet.t, error) result
-(** [~verify_transport:false] skips the transport-checksum check (GRO on
-    a channel whose descriptor carries the [csum_ok] flag); IPv4 header
-    checksums are still verified. *)
+val write : csum:bool -> Packet.t -> sink -> unit
+(** The one serializer: hand [sink] the frame in two parts, the header
+    prefix (at most {!header_room} bytes, built in a scratch buffer) at
+    offset 0, then the payload straight from the packet's own bytes.  The
+    transport checksum is computed from the two parts.  [~csum:false]
+    leaves the transport checksum field zero (checksum elision on the
+    trusted xenloop channel, DESIGN.md §15).  Such bytes parse only with
+    [~verify_transport:false]; writing the packet again with
+    [~csum:true] — as any netfront/physnet fallback does — reproduces the
+    always-compute baseline bit for bit.  IPv4 header checksums are
+    always computed.  Allocates nothing; the sink must not call [write]. *)
+
+val serialize : ?csum:bool -> Packet.t -> Bytes.t
+(** {!write} into one exact-size buffer ([csum] defaults to [true]). *)
+
+val parse :
+  ?verify_transport:bool -> ?len:int -> Bytes.t -> (Packet.t, error) result
+(** Parse the frame in the first [len] bytes of the buffer (default: all
+    of it).  [~verify_transport:false] skips the transport-checksum check
+    (GRO on a channel whose descriptor carries the [csum_ok] flag); IPv4
+    header checksums are still verified.
+    @raise Invalid_argument if [len] is outside the buffer. *)
 
 val header_room : int
 (** Bytes of header in front of the payload in the longest header stack

@@ -4,7 +4,14 @@
     either a parsed transport header plus payload ([Full]) or, for IP
     fragments other than a whole datagram, an opaque slice of the original
     transport-header+payload blob ([Fragment]) — mirroring how real IP
-    fragmentation works on raw bytes. *)
+    fragmentation works on raw bytes.
+
+    Payload ownership: a packet holds its payload by reference, and a
+    payload handed to [Udp.sendto] or [Stack.ip_send] belongs to the
+    stack from then on.  A packet is written out as bytes only where it
+    enters a channel, and it may wait before that: a netfront tx ring
+    ([Vif]) and the XenLoop waiting list hold packets, not copies.  So
+    nobody modifies a payload once it is sent. *)
 
 type ipv4_content =
   | Full of { transport : Transport.t; payload : Bytes.t }

@@ -49,7 +49,8 @@ val ip_send :
   t -> dst:Netcore.Ip.t -> transport:Netcore.Transport.t -> payload:Bytes.t -> unit
 (** Route, resolve, build, fragment to the egress MTU, run POST_ROUTING
     hooks on each fragment, and transmit.  Charges protocol tx cost and the
-    user-to-kernel copy on the host CPU.  Process context.
+    user-to-kernel copy on the host CPU.  Process context.  [payload]
+    belongs to the stack from then on ({!Netcore.Packet} ownership).
     @raise No_route when the destination is off-host and no device is
     attached. *)
 

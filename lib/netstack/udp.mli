@@ -21,6 +21,10 @@ val max_datagram : int
 
 val sendto : socket -> dst:Netcore.Ip.t -> dst_port:int -> Bytes.t -> unit
 (** Blocking (process context); charges syscall plus stack costs.
+    The payload belongs to the stack from here on, as with
+    {!Stack.ip_send}: the packet holds it by reference until it is
+    written out, which may be after this returns (a netfront tx ring
+    slot, a XenLoop waiting list), so the caller must not modify it.
     While the socket's congestion signal is raised (QoS backpressure,
     DESIGN.md §14) the send is charged against the
     [Params.qos_udp_sendspace] budget and blocks at the limit until the

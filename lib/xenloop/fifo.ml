@@ -114,27 +114,60 @@ type t = {
   mutable e_nchunks : int;
   e_chunk_slots : int array;
   e_chunk_lens : int array;
+  (* Producer side: ring byte offset of the payload of the inline entry
+     being written, and the sink that writes a frame there. *)
+  mutable w_at : int;
+  w_sink : Netcore.Codec.sink;
 }
+
+(* Byte-level ring access spanning the data pages. *)
+
+let ring_bytes t = t.fifo_slots * slot_bytes
+
+(* Iterative (a local recursive helper would allocate a closure; these run
+   once per packet on both hot paths).  A copy wraps at the end of the
+   ring, which is inside the page when the ring is smaller than one. *)
+
+let write_ring t ~at ~src ~src_off ~len =
+  let size = ring_bytes t in
+  let at = ref at and src_off = ref src_off and left = ref len in
+  while !left > 0 do
+    let a = !at mod size in
+    let page = t.data.(a / Page.size) in
+    let page_off = a mod Page.size in
+    let chunk = min !left (min (Page.size - page_off) (size - a)) in
+    Page.write page ~off:page_off ~src ~src_off:!src_off ~len:chunk;
+    at := a + chunk;
+    src_off := !src_off + chunk;
+    left := !left - chunk
+  done
 
 let attach ~desc ~data =
   let k = Page.get_u32 desc off_k in
   if k < 1 || k > max_k then invalid_arg "Fifo.attach: descriptor not initialized";
   if Array.length data <> data_pages_for ~k then
     invalid_arg "Fifo.attach: wrong number of data pages";
-  {
-    desc;
-    data;
-    fifo_slots = 1 lsl k;
-    e_at = 0;
-    e_slot = 0;
-    e_off = 0;
-    e_len = 0;
-    e_proto = 0;
-    e_flags = 0;
-    e_nchunks = 0;
-    e_chunk_slots = Array.make max_jumbo_chunks 0;
-    e_chunk_lens = Array.make max_jumbo_chunks 0;
-  }
+  let rec t =
+    {
+      desc;
+      data;
+      fifo_slots = 1 lsl k;
+      e_at = 0;
+      e_slot = 0;
+      e_off = 0;
+      e_len = 0;
+      e_proto = 0;
+      e_flags = 0;
+      e_nchunks = 0;
+      e_chunk_slots = Array.make max_jumbo_chunks 0;
+      e_chunk_lens = Array.make max_jumbo_chunks 0;
+      w_at = 0;
+      w_sink =
+        (fun src ~src_off ~dst_off ~len ->
+          write_ring t ~at:(t.w_at + dst_off) ~src ~src_off ~len);
+    }
+  in
+  t
 
 let slots t = t.fifo_slots
 let max_packet t = (t.fifo_slots - 1) * slot_bytes
@@ -164,27 +197,6 @@ let force_indices ~desc v =
   Page.set_u32 desc off_front v;
   Page.set_u32 desc off_back v
 
-(* Byte-level ring access spanning the data pages. *)
-
-let ring_bytes t = t.fifo_slots * slot_bytes
-
-(* Iterative (a local recursive helper would allocate a closure; these run
-   once per packet on both hot paths). *)
-
-let write_ring t ~at ~src ~src_off ~len =
-  let size = ring_bytes t in
-  let at = ref at and src_off = ref src_off and left = ref len in
-  while !left > 0 do
-    let a = !at mod size in
-    let page = t.data.(a / Page.size) in
-    let page_off = a mod Page.size in
-    let chunk = min !left (Page.size - page_off) in
-    Page.write page ~off:page_off ~src ~src_off:!src_off ~len:chunk;
-    at := a + chunk;
-    src_off := !src_off + chunk;
-    left := !left - chunk
-  done
-
 let read_ring t ~at ~dst ~dst_off ~len =
   let size = ring_bytes t in
   let at = ref at and dst_off = ref dst_off and left = ref len in
@@ -192,7 +204,7 @@ let read_ring t ~at ~dst ~dst_off ~len =
     let a = !at mod size in
     let page = t.data.(a / Page.size) in
     let page_off = a mod Page.size in
-    let chunk = min !left (Page.size - page_off) in
+    let chunk = min !left (min (Page.size - page_off) (size - a)) in
     Page.read page ~off:page_off ~dst ~dst_off:!dst_off ~len:chunk;
     at := a + chunk;
     dst_off := !dst_off + chunk;
@@ -206,8 +218,24 @@ let can_accept t len =
   && slots_for_payload len <= free_slots t
   && is_active t
 
-let try_push t payload =
-  let len = Bytes.length payload in
+(* A frame to push: its length, and how to write it through a sink.  A
+   frame becomes bytes only where it is written, in the ring or in its
+   pool slot. *)
+type 'f frame = { length : 'f -> int; write : 'f -> Netcore.Codec.sink -> unit }
+
+let raw =
+  {
+    length = Bytes.length;
+    write = (fun b sink -> sink b ~src_off:0 ~dst_off:0 ~len:(Bytes.length b));
+  }
+
+let packet =
+  {
+    length = Netcore.Packet.wire_length;
+    write = (fun p sink -> Netcore.Codec.write ~csum:true p sink);
+  }
+
+let push_inline t fr f ~len =
   (* Refusing an inactive FIFO closes a teardown race: a sender that was
      mid-push when the channel died must fail, not strand the frame in
      pages about to be reclaimed. *)
@@ -227,14 +255,15 @@ let try_push t payload =
       Page.set_u32 mpage moff len;
       Page.set_u16 mpage (moff + 4) entry_magic;
       Page.set_u16 mpage (moff + 6) 0;
-      write_ring t
-        ~at:((byte_at + slot_bytes) mod ring_bytes t)
-        ~src:payload ~src_off:0 ~len;
+      t.w_at <- (byte_at + slot_bytes) mod ring_bytes t;
+      fr.write f t.w_sink;
       (* Publish: the producer's atomic increment of [back]. *)
       Page.set_u32 t.desc off_back (b + needed);
       true
     end
   end
+
+let try_push t payload = push_inline t raw payload ~len:(Bytes.length payload)
 
 (* A descriptor entry occupies exactly two slots: the metadata word with
    the descriptor flag set, then one payload word carrying
@@ -329,8 +358,8 @@ let pushed_inline = 1
 let pushed_desc = 2
 let pushed_inline_fallback = 3
 
-let push_entry t ~pool ~inline_max ~proto_hint payload =
-  let len = Bytes.length payload in
+let push_frame t ~pool ~inline_max ~proto_hint fr f =
+  let len = fr.length f in
   match pool with
   | Some pool when desc_eligible t ~pool ~inline_max len ->
       let slot = Payload_pool.alloc_slot pool in
@@ -342,7 +371,8 @@ let push_entry t ~pool ~inline_max ~proto_hint payload =
           push_failed
         end
         else begin
-          Payload_pool.write pool ~slot ~src:payload ~len;
+          (Payload_pool.scatter pool).(0) <- slot;
+          fr.write f (Payload_pool.sink pool);
           if try_push_desc t ~slot ~offset:0 ~len ~proto_hint () then pushed_desc
           else begin
             Payload_pool.unalloc pool slot;
@@ -354,10 +384,13 @@ let push_entry t ~pool ~inline_max ~proto_hint payload =
         (* Pool exhausted: transparently degrade this packet to the
            inline copy path rather than blocking behind the receiver's
            slot returns. *)
-        try_push t payload
+        push_inline t fr f ~len
       then pushed_inline_fallback
       else push_failed
-  | _ -> if try_push t payload then pushed_inline else push_failed
+  | _ -> if push_inline t fr f ~len then pushed_inline else push_failed
+
+let push_entry t ~pool ~inline_max ~proto_hint payload =
+  push_frame t ~pool ~inline_max ~proto_hint raw payload
 
 let push t ?pool ?(inline_max = max_int) ?(proto_hint = 0) payload =
   let r = push_entry t ~pool ~inline_max ~proto_hint payload in
@@ -382,12 +415,12 @@ type push_report = {
 }
 
 let push_many t ?pool ?(inline_max = max_int) ?(proto_hint = 0) ?(loans = false)
-    payloads =
+    fr frames =
   let pushed = ref 0 and descs = ref 0 and inlines = ref 0 and fallbacks = ref 0 in
   let rec go = function
     | [] -> ()
-    | payload :: rest ->
-        let r = push_entry t ~pool ~inline_max ~proto_hint payload in
+    | f :: rest ->
+        let r = push_frame t ~pool ~inline_max ~proto_hint fr f in
         if r <> push_failed then begin
           incr pushed;
           if r = pushed_desc then incr descs else incr inlines;
@@ -395,7 +428,7 @@ let push_many t ?pool ?(inline_max = max_int) ?(proto_hint = 0) ?(loans = false)
           go rest
         end
   in
-  go payloads;
+  go frames;
   {
     pr_pushed = !pushed;
     pr_desc = !descs;
@@ -509,34 +542,38 @@ let desc_nchunks t = t.e_nchunks
 let desc_chunk_slot t i = t.e_chunk_slots.(i)
 let desc_chunk_len t i = t.e_chunk_lens.(i)
 
+let pool_entry t =
+  if t.e_flags land flag_jumbo <> 0 then
+    Jumbo
+      {
+        j_len = t.e_len;
+        j_proto = t.e_proto;
+        j_flags = t.e_flags;
+        j_chunks =
+          Array.init t.e_nchunks (fun i -> (t.e_chunk_slots.(i), t.e_chunk_lens.(i)));
+      }
+  else if t.e_flags land flag_desc <> 0 then
+    Desc
+      {
+        d_slot = t.e_slot;
+        d_off = t.e_off;
+        d_len = t.e_len;
+        d_proto = t.e_proto;
+        d_flags = t.e_flags;
+      }
+  else invalid_arg "Fifo.pool_entry: last pop was not a pool entry"
+
 let pop_entry t =
   let code = decode t in
   if code = popped_empty then None
   else begin
     let entry =
-      if code = popped_jumbo then
-        Jumbo
-          {
-            j_len = t.e_len;
-            j_proto = t.e_proto;
-            j_flags = t.e_flags;
-            j_chunks =
-              Array.init t.e_nchunks (fun i -> (t.e_chunk_slots.(i), t.e_chunk_lens.(i)));
-          }
-      else if code = popped_desc then
-        Desc
-          {
-            d_slot = t.e_slot;
-            d_off = t.e_off;
-            d_len = t.e_len;
-            d_proto = t.e_proto;
-            d_flags = t.e_flags;
-          }
-      else begin
+      if code >= 0 then begin
         let payload = Bytes.create code in
         read_inline t ~dst:payload ~len:code;
         Inline payload
       end
+      else pool_entry t
     in
     consume t code;
     Some entry

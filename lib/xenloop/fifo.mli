@@ -87,6 +87,18 @@ val try_push : t -> Bytes.t -> bool
 (** Inline push: [false] when the payload does not fit in the free space
     (caller queues it on the waiting list). *)
 
+type 'f frame = { length : 'f -> int; write : 'f -> Netcore.Codec.sink -> unit }
+(** What the producer entry points push: a frame's length and how to
+    write it through a sink.  It becomes bytes only there, in the ring or
+    straight in its pool slot. *)
+
+val raw : Bytes.t frame
+(** Bytes pushed as they are. *)
+
+val packet : Netcore.Packet.t frame
+(** A packet, written by {!Netcore.Codec.write} with its transport
+    checksum. *)
+
 (** {1 Descriptor entries (zero-copy payload pool)}
 
     With a {!Payload_pool} attached to the channel direction, payloads
@@ -125,6 +137,20 @@ val pushed_desc : int  (** 2 — descriptor through the payload pool *)
 val pushed_inline_fallback : int
 (** 3 — descriptor-eligible but the pool was exhausted; degraded inline *)
 
+val push_frame :
+  t ->
+  pool:Payload_pool.t option ->
+  inline_max:int ->
+  proto_hint:int ->
+  'f frame ->
+  'f ->
+  int
+(** The one producer entry point for a pooled channel.  Frames at or
+    below [inline_max] (or with no [pool]) are written into the ring as
+    an inline entry; eligible larger frames allocate a pool slot, are
+    written straight into it ({!Payload_pool.sink}), and publish a
+    descriptor.  A refused push never consumes a pool slot. *)
+
 val push_entry :
   t ->
   pool:Payload_pool.t option ->
@@ -132,11 +158,7 @@ val push_entry :
   proto_hint:int ->
   Bytes.t ->
   int
-(** The one producer entry point for a pooled channel.  Payloads at or
-    below [inline_max] (or with no [pool]) take the inline path exactly
-    as {!try_push}; eligible larger payloads allocate a pool slot, pay
-    their single copy into it, and publish a descriptor.  A refused push
-    never consumes a pool slot. *)
+(** {!push_frame} of {!raw} bytes. *)
 
 val flag_app : int
 (** Descriptor-flag bit: the slot payload is a socket-shortcut app datagram
@@ -225,9 +247,10 @@ val push_many :
   ?inline_max:int ->
   ?proto_hint:int ->
   ?loans:bool ->
-  Bytes.t list ->
+  'f frame ->
+  'f list ->
   push_report
-(** Push a burst of payloads in order, stopping at the first that does not
+(** Push a burst of frames in order, stopping at the first that does not
     fit; reports how many entered and how they were backed (so per-queue
     stats distinguish descriptor from copy traffic).  [loans] (default
     [false]) declares the burst bound for a loan-negotiated channel and
@@ -295,6 +318,12 @@ val desc_chunk_slot : t -> int -> int
 val desc_chunk_len : t -> int -> int
 (** Chunk vector of the most recent {!popped_jumbo} entry from
     {!pop_into}; overwritten by the next pop on this view. *)
+
+val pool_entry : t -> entry
+(** The [Desc] or [Jumbo] entry the last {!pop_into} on this view returned
+    {!popped_desc} or {!popped_jumbo} for, as a value that outlives the
+    next pop.
+    @raise Invalid_argument if the last pop was not a pool entry. *)
 
 val is_active : t -> bool
 val mark_inactive : t -> unit

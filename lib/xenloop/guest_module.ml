@@ -44,8 +44,8 @@ type stats = {
       (** jumbo descriptors dropped at rx for a corrupt chunk vector
           (slots returned, frame lost loudly — never mis-delivered) *)
   csum_elided : int;
-      (** frames serialized without a transport checksum because they
-          were bound for a gso channel (the descriptor carries csum_ok) *)
+      (** frames bound for a jumbo descriptor, whose transport checksum
+          is elided when they are written (the descriptor carries csum_ok) *)
 }
 
 (* Every counter the module keeps, in one registry.  Adding a counter is
@@ -108,8 +108,8 @@ type queue = {
   out_fifo : Fifo.t;
   in_fifo : Fifo.t;
   q_port : Ec.port;  (** this endpoint's event-channel port for this queue *)
-  waiting : Bytes.t Queue.t;  (** serialized frames awaiting FIFO space *)
-  q_sched : (Steering.flow_key, Bytes.t) Qos.Drr.t option;
+  waiting : P.t Queue.t;  (** packets awaiting FIFO space *)
+  q_sched : (Steering.flow_key, P.t) Qos.Drr.t option;
       (** QoS mode only (DESIGN.md §14): the waiting list becomes per-flow
           sub-queues served by weighted deficit round robin; [None] keeps
           the legacy FIFO-order list bit-for-bit *)
@@ -213,7 +213,11 @@ type t = {
   flow_cache : (Steering.flow_key, cache_entry) Hashtbl.t;
   mutable epoch : int;
   mutable hook : Netstack.Netfilter.hook_handle option;
-  mutable saved_frames : Bytes.t list;
+  mutable saved_frames : P.t list;
+  mutable rx_scratch : Bytes.t;
+      (** where inline entries are popped to, sized for the largest FIFO;
+          every parse of it happens before the next yield, so all queues
+          share it *)
   mutable app_handler :
     (src_ip:Netcore.Ip.t -> src_port:int -> dst_port:int -> Bytes.t -> unit) option;
   mutable app_view_handler :
@@ -345,7 +349,7 @@ let tx_backlog_head_len q =
   | Some _ as l -> l
   | None ->
       if Queue.is_empty q.waiting then None
-      else Some (Bytes.length (Queue.peek q.waiting))
+      else Some (P.wire_length (Queue.peek q.waiting))
 
 let waiting_list_length t ~domid =
   match Hashtbl.find_opt t.peers domid with
@@ -498,13 +502,11 @@ let notify_peer ?(force = false) t q =
          ~port:q.q_port ~meter:(meter t))
   end
 
-(* The IP protocol number straight out of the serialized frame (Ethernet
-   header + IPv4 protocol byte) — a descriptor hint only, so 0 for
-   anything that is not a long-enough IPv4 frame. *)
-let proto_hint_of raw =
-  if Bytes.length raw >= 24 && Bytes.get_uint16_be raw 12 = 0x0800 then
-    Bytes.get_uint8 raw 23
-  else 0
+(* A descriptor's protocol hint: the IP protocol number, 0 off IPv4. *)
+let proto_hint (packet : P.t) =
+  match packet.P.body with
+  | P.Ipv4_body { header; _ } -> Netcore.Ipv4.protocol_number header.protocol
+  | P.Arp_body _ | P.Xenloop_body _ -> 0
 
 let record_copy t len =
   Memory.Cost_meter.record (meter t) (Memory.Cost_meter.Page_copy len)
@@ -588,16 +590,16 @@ let jumbo_eligible q len =
    [amortized] skips the per-push [xenloop_fifo_op] when the caller
    already charged it for the whole batch.
 
-   The descriptor always carries [flag_csum_ok]: frames on the channel
-   come from a trusted co-resident sender, so the receiver may skip
-   transport-checksum verification whether or not this particular frame
-   had its checksum elided at serialization time. *)
-let push_jumbo ?(amortized = false) t q raw =
+   The frame is written with its transport checksum elided, and the
+   descriptor carries [flag_csum_ok]: frames on the channel come from a
+   trusted co-resident sender, so the receiver skips transport-checksum
+   verification. *)
+let push_jumbo ?(amortized = false) t q packet =
   match q.q_tx_pool with
   | None -> false
   | Some pool ->
       let p = params t in
-      let len = Bytes.length raw in
+      let len = P.wire_length packet in
       let sb = Payload_pool.slot_bytes pool in
       let nchunks = jumbo_nchunks pool len in
       if
@@ -616,21 +618,16 @@ let push_jumbo ?(amortized = false) t q raw =
         (* Retired while we yielded: its pool may be someone else's now. *)
         if not (live q) then false
         else begin
-          let chunk_slots = Array.make nchunks 0 in
-          let chunk_lens = Array.make nchunks 0 in
-          let allocated = ref 0 in
-          (try
-             for i = 0 to nchunks - 1 do
-               let slot = Payload_pool.alloc_slot pool in
-               if slot < 0 then raise Exit;
-               chunk_slots.(i) <- slot;
-               allocated := i + 1;
-               let off = i * sb in
-               let clen = min sb (len - off) in
-               chunk_lens.(i) <- clen;
-               Payload_pool.write_from pool ~slot ~src:raw ~src_off:off ~len:clen
-             done
-           with Exit -> ());
+          let chunk_slots = Payload_pool.scatter pool in
+          let allocated = ref 0 and slot = ref 0 in
+          while
+            !allocated < nchunks
+            && (slot := Payload_pool.alloc_slot pool;
+                !slot >= 0)
+          do
+            chunk_slots.(!allocated) <- !slot;
+            incr allocated
+          done;
           (* [unalloc] rewinds only the most recent allocation, so the
              rollback must walk the vector most-recent-first. *)
           let rollback () =
@@ -644,6 +641,9 @@ let push_jumbo ?(amortized = false) t q raw =
             false
           end
           else begin
+            Netcore.Codec.write ~csum:false packet (Payload_pool.sink pool);
+            let chunk_lens = Array.make nchunks sb in
+            chunk_lens.(nchunks - 1) <- len - ((nchunks - 1) * sb);
             (* Chaos hook: corrupt one chunk length in the published vector
                — [total_len] stays honest and the payload was written
                intact, so the receiver must catch the sum mismatch and drop
@@ -654,7 +654,7 @@ let push_jumbo ?(amortized = false) t q raw =
             | _ -> ());
             if
               Fifo.try_push_jumbo q.out_fifo ~flags:Fifo.flag_csum_ok ~chunk_slots
-                ~chunk_lens ~nchunks ~total_len:len ~proto_hint:(proto_hint_of raw)
+                ~chunk_lens ~nchunks ~total_len:len ~proto_hint:(proto_hint packet)
                 ()
             then begin
               count_desc_tx q;
@@ -678,9 +678,9 @@ let push_jumbo ?(amortized = false) t q raw =
    (and on loan channels, where the slot is the frame's only resting
    place).  [amortized]: the caller already paid [xenloop_fifo_op] for
    the whole burst, so only the copy is charged. *)
-let push_plain ~amortized t q raw =
+let push_plain ~amortized t q packet =
   let p = params t in
-  let len = Bytes.length raw in
+  let len = P.wire_length packet in
   let loan_desc = tx_loan_desc q len in
   if not amortized then
     Sim.Resource.use (cpu t)
@@ -692,8 +692,8 @@ let push_plain ~amortized t q raw =
   live q
   &&
   let outcome =
-    Fifo.push_entry q.out_fifo ~pool:q.q_tx_pool ~inline_max:q.q_inline_max
-      ~proto_hint:(proto_hint_of raw) raw
+    Fifo.push_frame q.out_fifo ~pool:q.q_tx_pool ~inline_max:q.q_inline_max
+      ~proto_hint:(proto_hint packet) Fifo.packet packet
   in
   let ok = note_outcome q outcome in
   if ok && not (outcome = Fifo.pushed_desc && q.q_max_loans > 0) then
@@ -705,24 +705,20 @@ let push_plain ~amortized t q raw =
    push fails before anything is charged, exactly like a full ring.  A
    gso-eligible frame goes as one jumbo descriptor; when the pool or the
    ring refuses the scatter vector it degrades to the chunked inline copy
-   the pre-gso path would have used — after restoring the transport
-   checksum the jumbo serializer elided, since an inline entry carries no
-   [flag_csum_ok] vouching and the receiver will verify it (the
-   checksum-elision equivalence property).  A gso sender therefore
-   degrades instead of parking frames behind an empty ring, where no peer
-   notification would ever come to flush them.  A frame that entered the
-   FIFO counts in [via_channel_tx]. *)
-let push_one ?(amortized = false) t q raw =
+   the pre-gso path would have used, written with its transport
+   checksum, since an inline entry carries no [flag_csum_ok] vouching and
+   the receiver will verify it (the checksum-elision equivalence
+   property).  A gso sender therefore degrades instead of parking frames
+   behind an empty ring, where no peer notification would ever come to
+   flush them.  A frame that entered the FIFO counts in
+   [via_channel_tx]. *)
+let push_one ?(amortized = false) t q packet =
   let pushed =
     (not (push_refused t))
     &&
-    if jumbo_eligible q (Bytes.length raw) then
-      push_jumbo ~amortized t q raw
-      ||
-      match Netcore.Codec.parse ~verify_transport:false raw with
-      | Ok packet -> push_plain ~amortized:false t q (Netcore.Codec.serialize packet)
-      | Error _ -> false
-    else push_plain ~amortized t q raw
+    if jumbo_eligible q (P.wire_length packet) then
+      push_jumbo ~amortized t q packet || push_plain ~amortized:false t q packet
+    else push_plain ~amortized t q packet
   in
   if pushed then Counters.bump t.s C.via_channel_tx;
   pushed
@@ -746,26 +742,21 @@ let queue_can_accept q len =
 
 (* The trusted-channel exit: the one way a frame bypasses the channel
    and leaves through the standard netfront path — overflow reroute,
-   tenant Divert, retirement flush, and the resend after migration.
-   These are always frames this guest serialized itself, and a
-   gso-bound frame may carry an elided (zeroed) transport checksum —
-   parse without verifying it; the device codec recomputes a correct
-   checksum when the structured packet is next serialized, which is
-   what the checksum-elision equivalence property pins down. *)
-let transmit_standard t raw =
+   tenant Divert, retirement flush, and the resend after migration.  The
+   packet goes as it is: a packet carries no checksum, so whatever writes
+   it out next computes one, which is what the checksum-elision
+   equivalence property pins down. *)
+let transmit_standard t packet =
   match Stack.device t.stack with
   | None -> ()
-  | Some dev -> (
-      match Netcore.Codec.parse ~verify_transport:false raw with
-      | Ok packet -> Netstack.Netdevice.transmit dev packet
-      | Error _ -> ())
+  | Some dev -> Netstack.Netdevice.transmit dev packet
 
 (* A frame the bounded waiting list cannot hold leaves through the standard
    netfront path instead: the fast path degrades to the baseline, it never
    drops or queues without bound. *)
-let route_overflow_standard t raw =
+let route_overflow_standard t packet =
   Counters.bump t.s C.waiting_overflows;
-  transmit_standard t raw
+  transmit_standard t packet
 
 (* Frames that never reached the peer of a retired channel: kept for
    the resend after migration, sent through netfront, or (quarantine)
@@ -779,14 +770,14 @@ let dispose_backlog t backlog frames =
 (* A frame bound for a queue our side has retired — its sender yielded
    across the retirement, which already took the backlog — joins that
    backlog's fate instead of a waiting list nobody drains any more. *)
-let enqueue_waiting t q raw =
+let enqueue_waiting t q packet =
   let p = params t in
   match q.q_retired with
-  | Some backlog -> dispose_backlog t backlog [ raw ]
+  | Some backlog -> dispose_backlog t backlog [ packet ]
   | None when Queue.length q.waiting >= p.Params.xenloop_waiting_list_max ->
-      route_overflow_standard t raw
+      route_overflow_standard t packet
   | None ->
-      Queue.push raw q.waiting;
+      Queue.push packet q.waiting;
       Counters.bump t.s C.queued_to_waiting;
       (* Published through the shared descriptor so the peer knows freed
          space on this queue is worth a notification back to us. *)
@@ -844,9 +835,9 @@ let qos_update_watermark t qs sched flow =
    on its flow's sub-queue.  A full sub-queue reroutes THIS flow's frame
    through netfront — per-flow overflow, so a flooder spills its own
    traffic instead of evicting other tenants' frames. *)
-let qos_enqueue_frame t qs q sched ~key raw =
+let qos_enqueue_frame t qs q sched ~key packet =
   let flow = Qos.Flow_table.lookup qs.qt_flows key in
-  let len = Bytes.length raw in
+  let len = P.wire_length packet in
   flow.Qos.Flow_table.f_bytes <- flow.Qos.Flow_table.f_bytes + len;
   flow.Qos.Flow_table.f_frames <- flow.Qos.Flow_table.f_frames + 1;
   let action =
@@ -862,10 +853,10 @@ let qos_enqueue_frame t qs q sched ~key raw =
   in
   match action with
   | Qos.Policy.Drop -> ()
-  | Qos.Policy.Divert -> transmit_standard t raw
-  | Qos.Policy.Pass when not (live q) -> enqueue_waiting t q raw
+  | Qos.Policy.Divert -> transmit_standard t packet
+  | Qos.Policy.Pass when not (live q) -> enqueue_waiting t q packet
   | Qos.Policy.Pass ->
-      if Qos.Drr.enqueue sched ~key ~weight:flow.Qos.Flow_table.f_weight ~len raw
+      if Qos.Drr.enqueue sched ~key ~weight:flow.Qos.Flow_table.f_weight ~len packet
       then begin
         Counters.bump t.s C.queued_to_waiting;
         Fifo.set_producer_waiting q.out_fifo true;
@@ -873,7 +864,7 @@ let qos_enqueue_frame t qs q sched ~key raw =
       end
       else begin
         flow.Qos.Flow_table.f_overflows <- flow.Qos.Flow_table.f_overflows + 1;
-        route_overflow_standard t raw
+        route_overflow_standard t packet
       end
 
 let rec take_drop n xs =
@@ -926,8 +917,7 @@ let qos_drain t qs q sched =
                whatever remains is restored to the flow's sub-queue
                front (deficit refunded) for the next round. *)
             let rec split acc = function
-              | ((raw, _) as it) :: rest
-                when not (jumbo_eligible q (Bytes.length raw)) ->
+              | ((_, len) as it) :: rest when not (jumbo_eligible q len) ->
                   split (it :: acc) rest
               | rest -> (List.rev acc, rest)
             in
@@ -936,9 +926,9 @@ let qos_drain t qs q sched =
             | [] -> (
                 match jumbo_rest with
                 | [] -> continue_draining := false
-                | (raw, len) :: rest ->
+                | (packet, len) :: rest ->
                     Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
-                    if push_one ~amortized:true t q raw then begin
+                    if push_one ~amortized:true t q packet then begin
                       pushed_total := !pushed_total + 1;
                       flow.Qos.Flow_table.f_descs <-
                         flow.Qos.Flow_table.f_descs + 1;
@@ -971,9 +961,9 @@ let qos_drain t qs q sched =
                 Fifo.push_many q.out_fifo ?pool:q.q_tx_pool
                   ~inline_max:q.q_inline_max
                   ~proto_hint:
-                    (match items with (raw, _) :: _ -> proto_hint_of raw | [] -> 0)
+                    (match items with (packet, _) :: _ -> proto_hint packet | [] -> 0)
                   ~loans:(q.q_max_loans > 0)
-                  (List.map fst items)
+                  Fifo.packet (List.map fst items)
             in
             let pushed_items, leftover = take_drop report.Fifo.pr_pushed items in
             Counters.add q.q_counts C.desc_tx report.Fifo.pr_desc;
@@ -990,7 +980,7 @@ let qos_drain t qs q sched =
             let desc_left = ref report.Fifo.pr_desc in
             let policy = qos_policy_for qs flow in
             List.iter
-              (fun (raw, len) ->
+              (fun (_, len) ->
                 let is_desc = !desc_left > 0 && len > q.q_inline_max in
                 if is_desc then begin
                   decr desc_left;
@@ -1006,7 +996,7 @@ let qos_drain t qs q sched =
                 | Some pol ->
                     pol.Qos.Policy.p_dequeue
                       { Qos.Policy.pe_key = key; pe_len = len; pe_desc = is_desc }
-                | None -> ignore raw)
+                | None -> ())
               pushed_items;
             (* Frames the FIFO refused, plus any jumbo tail we carved
                off, go back to the sub-queue front; only a FIFO refusal
@@ -1030,8 +1020,8 @@ let drain_waiting_legacy t q =
     let pushed = ref 0 in
     let continue_draining = ref true in
     while !continue_draining && not (Queue.is_empty q.waiting) do
-      let raw = Queue.peek q.waiting in
-      if queue_can_accept q (Bytes.length raw) && push_one t q raw then begin
+      let packet = Queue.peek q.waiting in
+      if queue_can_accept q (P.wire_length packet) && push_one t q packet then begin
         ignore (Queue.pop q.waiting);
         incr pushed
       end
@@ -1057,12 +1047,12 @@ let qos_send_batch t qs q sched keyed_frames =
   | _ :: _ :: _ -> Counters.bump t.s C.batches
   | _ -> ());
   List.iter
-    (fun (key, raw) -> qos_enqueue_frame t qs q sched ~key raw)
+    (fun (key, packet) -> qos_enqueue_frame t qs q sched ~key packet)
     keyed_frames;
   ignore (qos_drain t qs q sched);
   notify_peer t q
 
-let send_via_channel t q raw =
+let send_via_channel t q packet =
   (* Packets behind a non-empty waiting list must queue too (per-queue
      ordering).  Like the batch path, the waiting list is first serviced
      from the sending context: forward progress must not depend solely
@@ -1074,22 +1064,23 @@ let send_via_channel t q raw =
      what makes the FIFO size matter (Fig. 5): a small FIFO forces an
      event-channel round trip per FIFO-full of packets. *)
   if not (Queue.is_empty q.waiting) then ignore (drain_waiting t q);
-  if not (Queue.is_empty q.waiting && push_one t q raw) then
-    enqueue_waiting t q raw;
+  if not (Queue.is_empty q.waiting && push_one t q packet) then
+    enqueue_waiting t q packet;
   (* Signal the receiver; also when we only queued, so the peer's next
      consumption round notifies us back to drain the waiting list. *)
   notify_peer t q
 
-let send_batch t q raws =
+let send_batch t q packets =
   (* One burst — all fragments of one datagram, or several back-to-back
      steals steered to the same queue — enters the FIFO under a single
      amortized bookkeeping charge and a single trailing notification. *)
   let p = params t in
-  match raws with
+  match packets with
   | [] -> ()
-  | [ raw ] -> send_via_channel t q raw
-  | raws when not p.Params.xenloop_batch_tx -> List.iter (send_via_channel t q) raws
-  | raws ->
+  | [ packet ] -> send_via_channel t q packet
+  | packets when not p.Params.xenloop_batch_tx ->
+      List.iter (send_via_channel t q) packets
+  | packets ->
       Counters.bump t.s C.batches;
       (* Service the waiting list from the sending context first: leaving
          it to the event handler alone starves it behind this process's
@@ -1098,19 +1089,19 @@ let send_batch t q raws =
       if not (Queue.is_empty q.waiting) then ignore (drain_waiting t q);
       if not (Queue.is_empty q.waiting) then
         (* Ordering: everything behind a non-empty waiting list queues. *)
-        List.iter (enqueue_waiting t q) raws
+        List.iter (enqueue_waiting t q) packets
       else begin
         (* The burst pays [xenloop_fifo_op] once; each frame still pays its
            copy before becoming visible to the consumer. *)
         Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
         let overflowed = ref false in
         List.iter
-          (fun raw ->
-            if !overflowed || not (push_one ~amortized:true t q raw) then begin
+          (fun packet ->
+            if !overflowed || not (push_one ~amortized:true t q packet) then begin
               overflowed := true;
-              enqueue_waiting t q raw
+              enqueue_waiting t q packet
             end)
-          raws
+          packets
       end;
       notify_peer t q
 
@@ -1257,10 +1248,10 @@ let make_release t q pool e ~len =
 
 (* Count a received frame that parsed.  An individual frame that fails
    to parse is dropped; the FIFO framing itself is still sound. *)
-let count_rx t e parsed =
+let count_rx t ~jumbo parsed =
   (match parsed with
   | Ok _ ->
-      (match e with Fifo.Jumbo _ -> Counters.bump t.s C.jumbo_rx | _ -> ());
+      if jumbo then Counters.bump t.s C.jumbo_rx;
       Counters.bump t.s C.via_channel_rx
   | Error _ -> ());
   parsed
@@ -1357,7 +1348,7 @@ let receive_pooled t q pool e ~bookkeeping =
   | Fifo.Desc { d_flags = flags; _ } | Fifo.Jumbo { j_flags = flags; _ } ->
       let parsed = parse_pooled pool e ~flags in
       Sim.Resource.use (cpu t) bookkeeping;
-      let parsed = count_rx t e parsed in
+      let parsed = count_rx t ~jumbo:(flags land Fifo.flag_jumbo <> 0) parsed in
       let len = entry_len e in
       if can_loan q pool e then begin
         (* Loaned delivery: the socket layer borrows the slots and the
@@ -1380,13 +1371,13 @@ let drain_incoming t q =
   let p = params t in
   let continue_draining = ref true in
   while !continue_draining && live q do
-    match Fifo.pop_entry q.in_fifo with
+    match Fifo.pop_into q.in_fifo t.rx_scratch with
     | exception Invalid_argument _ ->
         (* The peer scribbled over the shared FIFO state.  Never trust it,
            never crash: poison the channel and let the caller disengage. *)
         raise Corrupt_channel
-    | None -> continue_draining := false
-    | Some e -> (
+    | code when code = Fifo.popped_empty -> continue_draining := false
+    | code -> (
         (* Receiver half of the batch amortization: the first frame of a
            drain pays the FIFO bookkeeping, the rest only their copies. *)
         let bookkeeping =
@@ -1394,19 +1385,23 @@ let drain_incoming t q =
           else p.Params.xenloop_fifo_op
         in
         incr consumed;
-        match (e, q.q_rx_pool) with
-        | Fifo.Inline raw, _ ->
-            let len = Bytes.length raw in
-            Sim.Resource.use (cpu t)
-              (Sim.Time.span_add bookkeeping (Params.xenloop_copy_cost p len));
-            record_copy t len;
-            inject t (count_rx t e (Netcore.Codec.parse raw))
-        | (Fifo.Desc _ | Fifo.Jumbo _), Some pool ->
-            receive_pooled t q pool e ~bookkeeping
-        | (Fifo.Desc _ | Fifo.Jumbo _), None ->
-            (* A descriptor on a channel we never negotiated pools for:
-               the peer is off-protocol. *)
-            raise Corrupt_channel)
+        if code >= 0 then begin
+          (* An inline entry: parsed out of the scratch before the charge
+             yields. *)
+          let parsed = Netcore.Codec.parse ~len:code t.rx_scratch in
+          Sim.Resource.use (cpu t)
+            (Sim.Time.span_add bookkeeping (Params.xenloop_copy_cost p code));
+          record_copy t code;
+          inject t (count_rx t ~jumbo:false parsed)
+        end
+        else
+          match q.q_rx_pool with
+          | Some pool ->
+              receive_pooled t q pool (Fifo.pool_entry q.in_fifo) ~bookkeeping
+          | None ->
+              (* A descriptor on a channel we never negotiated pools for:
+                 the peer is off-protocol. *)
+              raise Corrupt_channel)
   done;
   !consumed
 
@@ -1450,51 +1445,57 @@ let force_return_channel_loans t ch =
 (* Frames the peer has not yet popped would be stranded once the FIFO
    pages go back to the frame pool (the peer reads them only after its
    event latency, by which time the pages may be reused).  Reclaim them
-   and put them, in order, ahead of the queue's waiting list.  We wrote
-   every pool-backed payload, so it is gathered back out of our own tx
-   pool before the pool pages are released with the channel; no slot
-   return is needed, the free ring dies with the pages.  A jumbo goes
-   back as one frame (netfront re-segments it).  A scatter vector we
-   cannot trust — a chaos fault corrupted it before teardown — is dropped
-   rather than read out of range. *)
+   and put them, in order, ahead of the queue's waiting list, as packets
+   again.  We wrote every pool-backed payload, so it is gathered back out
+   of our own tx pool before the pool pages are released with the
+   channel; no slot return is needed, the free ring dies with the pages.
+   A jumbo goes back as one frame (netfront re-segments it); its elided
+   checksum is why nothing here is verified.  A scatter vector we cannot
+   trust — a chaos fault corrupted it before teardown — is dropped rather
+   than read out of range, and so is a frame that no longer parses. *)
 let reclaim_stranded t ch q =
   let stranded = Queue.create () in
+  let keep raw ~len =
+    match Netcore.Codec.parse ~verify_transport:false ~len raw with
+    | Ok packet -> Queue.push packet stranded
+    | Error _ -> ()
+  in
   (try
      let reclaiming = ref true in
      while !reclaiming do
-       match (Fifo.pop_entry q.out_fifo, q.q_tx_pool) with
-       | None, _ -> reclaiming := false
-       | Some (Fifo.Inline raw), _ -> Queue.push raw stranded
-       | Some _, None -> ()
-       | Some e, Some pool -> (
-           match chunks_valid pool e with
-           | false | (exception Corrupt_channel) ->
-               Counters.bump t.s C.jumbo_drops
-           | true -> (
-               let raw = gather pool e in
-               match e with
-               | Fifo.Desc { d_flags; d_len; d_proto; _ }
-                 when d_flags land Fifo.flag_app <> 0 && d_len > 8 ->
-                   (* App descriptor: the slot holds [app header |
-                      datagram], not a serialized frame.  Rebuild the
-                      equivalent control frame so it can travel over
-                      netfront. *)
-                   let msg =
-                     Proto.App_payload
-                       {
-                         src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be raw 0);
-                         src_port = Bytes.get_uint16_be raw 4;
-                         dst_port = d_proto;
-                         payload = Bytes.sub raw 8 (d_len - 8);
-                       }
-                   in
-                   Queue.push
-                     (Netcore.Codec.serialize
-                        (Netcore.Packet.xenloop_ctrl
-                           ~src_mac:(Stack.mac_addr t.stack)
-                           ~dst_mac:ch.peer_mac (Proto.encode msg)))
-                     stranded
-               | _ -> Queue.push raw stranded))
+       let code = Fifo.pop_into q.out_fifo t.rx_scratch in
+       if code = Fifo.popped_empty then reclaiming := false
+       else if code >= 0 then keep t.rx_scratch ~len:code
+       else
+         match q.q_tx_pool with
+         | None -> ()
+         | Some pool -> (
+             let e = Fifo.pool_entry q.out_fifo in
+             match chunks_valid pool e with
+             | false | (exception Corrupt_channel) ->
+                 Counters.bump t.s C.jumbo_drops
+             | true -> (
+                 let raw = gather pool e in
+                 match e with
+                 | Fifo.Desc { d_flags; d_len; d_proto; _ }
+                   when d_flags land Fifo.flag_app <> 0 && d_len > 8 ->
+                     (* App descriptor: the slot holds [app header |
+                        datagram], not a frame.  Rebuild the equivalent
+                        control frame so it can travel over netfront. *)
+                     let msg =
+                       Proto.App_payload
+                         {
+                           src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be raw 0);
+                           src_port = Bytes.get_uint16_be raw 4;
+                           dst_port = d_proto;
+                           payload = Bytes.sub raw 8 (d_len - 8);
+                         }
+                     in
+                     Queue.push
+                       (P.xenloop_ctrl ~src_mac:(Stack.mac_addr t.stack)
+                          ~dst_mac:ch.peer_mac (Proto.encode msg))
+                       stranded
+                 | _ -> keep raw ~len:(Bytes.length raw)))
      done
    with Invalid_argument _ -> ());
   Queue.transfer q.waiting stranded;
@@ -1534,7 +1535,9 @@ let retire t ch ~backlog ~tell_peer =
     (fun q ->
       Option.iter
         (fun sched ->
-          List.iter (fun (_, raw, _) -> Queue.push raw q.waiting) (Qos.Drr.drain_all sched))
+          List.iter
+            (fun (_, packet, _) -> Queue.push packet q.waiting)
+            (Qos.Drr.drain_all sched))
         q.q_sched)
     ch.queues;
   qos_release_congestion t;
@@ -1917,6 +1920,8 @@ let make_queue t ~qi ~out_fifo ~in_fifo ~port ~tx_pool ~rx_pool ~inline_max
   (match tx_pool with
   | Some pool -> Payload_pool.set_alloc_fault pool t.pool_fault
   | None -> ());
+  if Bytes.length t.rx_scratch < Fifo.max_packet in_fifo then
+    t.rx_scratch <- Bytes.create (Fifo.max_packet in_fifo);
   {
     q_index = qi;
     out_fifo;
@@ -2593,28 +2598,20 @@ let on_ctrl_packet t (packet : P.t) =
 (* The netfilter hook: the guest-specific software bridge *)
 
 let frame_for_queue t q (packet : P.t) =
-  (* Jumbo intent is decided before serializing ({!Packet.wire_length}
-     sizes without building) so the transport-checksum compute can be
-     elided over the whole super-frame — the jumbo descriptor carries
-     [flag_csum_ok] and the trusted receiver skips verification
-     (DESIGN.md §15).  If the push later degrades to a fallback path,
-     {!transmit_standard} parses our own bytes without verifying and the
-     device codec recomputes the checksum on re-serialization. *)
-  let jumbo = jumbo_eligible q (P.wire_length packet) in
-  let raw =
-    if jumbo then begin
-      Counters.bump t.s C.csum_elided;
-      Netcore.Codec.serialize ~csum:false packet
-    end
-    else Netcore.Codec.serialize packet
-  in
-  if (not jumbo) && Bytes.length raw > Fifo.max_packet q.out_fifo then begin
+  (* Jumbo intent is decided on the frame's length ({!Packet.wire_length}
+     sizes without building): a jumbo is written with its transport
+     checksum elided, since the jumbo descriptor carries [flag_csum_ok]
+     and the trusted receiver skips verification (DESIGN.md §15). *)
+  let len = P.wire_length packet in
+  let jumbo = jumbo_eligible q len in
+  if jumbo then Counters.bump t.s C.csum_elided;
+  if (not jumbo) && len > Fifo.max_packet q.out_fifo then begin
     Counters.bump t.s C.too_big_fallback;
     `Standard_path
   end
   else begin
     Counters.bump q.q_counts C.steered_packets;
-    `Channel (q, raw, packet)
+    `Channel (q, packet)
   end
 
 (* Slow path of the routing decision: mapping-table lookup plus steering
@@ -2699,7 +2696,7 @@ let hook_fn t (packets : P.t list) =
     let flush group =
       match List.rev group with
       | [] -> ()
-      | (q, _, _) :: _ as frames -> (
+      | (q, _) :: _ as frames -> (
           (* QoS mode keys each frame by its accounting flow (5-tuple for
              unfragmented UDP, so concurrent sockets are distinct flows)
              and admits the burst through the DRR scheduler; legacy mode
@@ -2707,10 +2704,8 @@ let hook_fn t (packets : P.t list) =
           match (t.qos, q.q_sched) with
           | Some qs, Some sched ->
               qos_send_batch t qs q sched
-                (List.map
-                   (fun (_, raw, pkt) -> (Steering.qos_flow_key pkt, raw))
-                   frames)
-          | _ -> send_batch t q (List.map (fun (_, raw, _) -> raw) frames))
+                (List.map (fun (_, pkt) -> (Steering.qos_flow_key pkt, pkt)) frames)
+          | _ -> send_batch t q (List.map snd frames))
     in
     let pending =
       List.fold_left
@@ -2719,11 +2714,11 @@ let hook_fn t (packets : P.t list) =
           | `Standard_path, pending ->
               flush pending;
               []
-          | `Channel (q, raw, pkt), ((q', _, _) :: _ as pending) when q == q' ->
-              (q, raw, pkt) :: pending
-          | `Channel (q, raw, pkt), pending ->
+          | `Channel (q, pkt), ((q', _) :: _ as pending) when q == q' ->
+              (q, pkt) :: pending
+          | `Channel (q, pkt), pending ->
               flush pending;
-              [ (q, raw, pkt) ])
+              [ (q, pkt) ])
         [] decisions
     in
     flush pending;
@@ -2820,16 +2815,15 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
                 Netcore.Packet.xenloop_ctrl ~src_mac:(Stack.mac_addr t.stack)
                   ~dst_mac:entry.Proto.entry_mac (Proto.encode msg)
               in
-              let raw = Netcore.Codec.serialize frame in
-              if Bytes.length raw > Fifo.max_packet q.out_fifo then begin
+              if P.wire_length frame > Fifo.max_packet q.out_fifo then begin
                 Counters.bump t.s C.too_big_fallback;
                 false
               end
               else begin
                 Counters.bump q.q_counts C.steered_packets;
                 (match (t.qos, q.q_sched) with
-                | Some qs, Some sched -> qos_send_batch t qs q sched [ (key, raw) ]
-                | _ -> send_via_channel t q raw);
+                | Some qs, Some sched -> qos_send_batch t qs q sched [ (key, frame) ]
+                | _ -> send_via_channel t q frame);
                 true
               end
             end
@@ -3132,6 +3126,7 @@ let create ~domain ~stack ~current_machine ?(fifo_k = Fifo.default_k) ?max_queue
       epoch = 0;
       hook = None;
       saved_frames = [];
+      rx_scratch = Bytes.empty;
       app_handler = None;
       app_view_handler = None;
       trace;

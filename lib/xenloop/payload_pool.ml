@@ -44,6 +44,10 @@ type t = {
      after the slots were force-returned must be a silent no-op, not a
      double-free onto a ring someone else now owns. *)
   mutable pl_dead : bool;
+  (* The sender's scatter vector, view-local like the loan state: the
+     slots, in frame order, that [p_sink] writes the next frame across. *)
+  p_scatter : int array;
+  p_sink : Netcore.Codec.sink;
 }
 
 let check_geometry ~what ~slots ~slot_pages =
@@ -56,17 +60,68 @@ let check_geometry ~what ~slots ~slot_pages =
       (Printf.sprintf "Payload_pool.%s: free ring + gref table overflow the control page"
          what)
 
+let slot_bytes t = t.p_slot_pages * Page.size
+
+(* Byte access spanning a slot's pages. *)
+
+let check_span t ~what ~slot ~off ~len =
+  if slot < 0 || slot >= t.p_slots then
+    invalid_arg (Printf.sprintf "Payload_pool.%s: bad slot" what);
+  if off < 0 || len < 0 || off + len > slot_bytes t then
+    invalid_arg (Printf.sprintf "Payload_pool.%s: out of slot bounds" what)
+
+(* Iterative copy (the sender's once-per-frame path must not allocate,
+   and a local recursive helper would close over the arguments). *)
+let write_at t ~slot ~off ~src ~src_off ~len =
+  check_span t ~what:"write" ~slot ~off ~len;
+  if src_off < 0 || src_off + len > Bytes.length src then
+    invalid_arg "Payload_pool.write_at: out of src bounds";
+  let base = slot * t.p_slot_pages in
+  let at = ref off and src_off = ref src_off and left = ref len in
+  while !left > 0 do
+    let page = t.data.(base + (!at / Page.size)) in
+    let page_off = !at mod Page.size in
+    let chunk = min !left (Page.size - page_off) in
+    Page.write page ~off:page_off ~src ~src_off:!src_off ~len:chunk;
+    at := !at + chunk;
+    src_off := !src_off + chunk;
+    left := !left - chunk
+  done
+
+let write t ~slot ~src ~len = write_at t ~slot ~off:0 ~src ~src_off:0 ~len
+
+(* Frame offset [dst_off] lives in slot [p_scatter.(dst_off / slot_bytes)]
+   at [dst_off mod slot_bytes]: a write is split at slot boundaries. *)
+let scatter_write t src ~src_off ~dst_off ~len =
+  let sb = slot_bytes t in
+  let at = ref dst_off and src_off = ref src_off and left = ref len in
+  while !left > 0 do
+    let off = !at mod sb in
+    let n = min !left (sb - off) in
+    write_at t ~slot:t.p_scatter.(!at / sb) ~off ~src ~src_off:!src_off ~len:n;
+    at := !at + n;
+    src_off := !src_off + n;
+    left := !left - n
+  done
+
 let make_view ~ctrl ~data ~slots ~slot_pages =
-  {
-    ctrl;
-    data;
-    p_slots = slots;
-    p_slot_pages = slot_pages;
-    alloc_fault = None;
-    pl_loaned = Array.make slots false;
-    pl_outstanding = 0;
-    pl_dead = false;
-  }
+  let rec t =
+    {
+      ctrl;
+      data;
+      p_slots = slots;
+      p_slot_pages = slot_pages;
+      alloc_fault = None;
+      pl_loaned = Array.make slots false;
+      pl_outstanding = 0;
+      pl_dead = false;
+      p_scatter = Array.make slots 0;
+      p_sink =
+        (fun src ~src_off ~dst_off ~len ->
+          scatter_write t src ~src_off ~dst_off ~len);
+    }
+  in
+  t
 
 let init ?(max_loans = 0) ?(gso_max = 0) ~ctrl ~data ~slots ~slot_pages
     ~inline_max () =
@@ -113,7 +168,6 @@ let attach ~ctrl ~data =
   make_view ~ctrl ~data ~slots ~slot_pages
 
 let slots t = t.p_slots
-let slot_bytes t = t.p_slot_pages * Page.size
 let inline_threshold t = Page.get_u32 t.ctrl off_inline_max
 let max_loans_stamp t = Page.get_u32 t.ctrl off_max_loans
 let gso_stamp t = Page.get_u32 t.ctrl off_gso_max
@@ -200,35 +254,8 @@ let force_return_loans t =
   t.pl_dead <- true;
   !returned
 
-(* Byte access spanning a slot's pages. *)
-
-let check_span t ~what ~slot ~off ~len =
-  if slot < 0 || slot >= t.p_slots then
-    invalid_arg (Printf.sprintf "Payload_pool.%s: bad slot" what);
-  if off < 0 || len < 0 || off + len > slot_bytes t then
-    invalid_arg (Printf.sprintf "Payload_pool.%s: out of slot bounds" what)
-
-(* Iterative copy (the sender's once-per-packet path must not allocate,
-   and a local recursive helper would close over the arguments).
-   [write_from] is the scatter variant a jumbo sender uses to carve one
-   oversized frame across several slots. *)
-let write_from t ~slot ~src ~src_off ~len =
-  check_span t ~what:"write" ~slot ~off:0 ~len;
-  if src_off < 0 || src_off + len > Bytes.length src then
-    invalid_arg "Payload_pool.write_from: out of src bounds";
-  let base = slot * t.p_slot_pages in
-  let at = ref 0 and src_off = ref src_off and left = ref len in
-  while !left > 0 do
-    let page = t.data.(base + (!at / Page.size)) in
-    let page_off = !at mod Page.size in
-    let chunk = min !left (Page.size - page_off) in
-    Page.write page ~off:page_off ~src ~src_off:!src_off ~len:chunk;
-    at := !at + chunk;
-    src_off := !src_off + chunk;
-    left := !left - chunk
-  done
-
-let write t ~slot ~src ~len = write_from t ~slot ~src ~src_off:0 ~len
+let scatter t = t.p_scatter
+let sink t = t.p_sink
 
 let read_into t ~slot ~off ~len ~dst ~dst_off =
   check_span t ~what:"read" ~slot ~off ~len;

@@ -119,10 +119,22 @@ val force_return_loans : t -> int
 val write : t -> slot:int -> src:Bytes.t -> len:int -> unit
 (** The sender's single payload copy, into the slot's pages. *)
 
-val write_from :
-  t -> slot:int -> src:Bytes.t -> src_off:int -> len:int -> unit
-(** {!write} from an offset within [src] — the jumbo sender's scatter
-    path, carving one oversized frame across several slots. *)
+val write_at :
+  t -> slot:int -> off:int -> src:Bytes.t -> src_off:int -> len:int -> unit
+(** {!write} of [len] bytes of [src] from [src_off], at offset [off] of
+    the slot. *)
+
+val scatter : t -> int array
+(** The sender's scatter vector, one entry per pool slot: fill its first
+    entries with the slots a frame is to occupy, in frame order, then
+    write the frame through {!sink}.  A descriptor's frame is one slot,
+    entry 0. *)
+
+val sink : t -> Netcore.Codec.sink
+(** Writes frame offset [o] at offset [o mod slot_bytes] of slot
+    [(scatter t).(o / slot_bytes)] through {!write_at}, so a frame lands
+    across its scatter vector with every slot but the last full.  Built
+    once per view: writing through it allocates nothing. *)
 
 val read : t -> slot:int -> off:int -> len:int -> Bytes.t
 (** The receiver's in-place view of a slot (materialized as bytes for the

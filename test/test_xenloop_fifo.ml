@@ -409,6 +409,31 @@ let test_mapping_soft_state () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+let test_fifo_packet_frames_wrap_intact () =
+  (* A packet is written into the ring in two parts, header prefix then
+     payload, and either part may cross the end of the ring — which, for
+     a ring smaller than a page, is inside the page.  Every frame must
+     pop as the bytes [Codec.serialize] makes of it. *)
+  let _, _, f = make_fifo ~k:6 () in
+  let dst = Bytes.create (Fifo.max_packet f) in
+  let mac = Mac.of_int64 0x00163e000001L and ip = Netcore.Ip.of_octets 10 0 0 1 in
+  for i = 0 to 199 do
+    let payload = Bytes.init ((i * 37) mod 400) (fun j -> Char.chr ((i + j) land 0xff)) in
+    let p =
+      Netcore.Packet.udp ~src_mac:mac ~dst_mac:mac ~src_ip:ip ~dst_ip:ip
+        ~src_port:i ~dst_port:7 payload
+    in
+    let code =
+      Fifo.push_frame f ~pool:None ~inline_max:max_int ~proto_hint:17 Fifo.packet p
+    in
+    Alcotest.(check int) "pushed inline" Fifo.pushed_inline code;
+    let len = Fifo.pop_into f dst in
+    Alcotest.(check string)
+      (Printf.sprintf "frame %d intact" i)
+      (Bytes.to_string (Netcore.Codec.serialize p))
+      (Bytes.sub_string dst 0 len)
+  done
+
 let suites =
   [
     ( "xenloop.fifo",
@@ -422,6 +447,8 @@ let suites =
           test_fifo_data_visible_through_second_view;
         Alcotest.test_case "32-bit index wraparound" `Quick
           test_fifo_wraparound_32bit_indices;
+        Alcotest.test_case "packet frames wrap the ring intact" `Quick
+          test_fifo_packet_frames_wrap_intact;
         Alcotest.test_case "init validation" `Quick test_fifo_init_validation;
         Alcotest.test_case "grefs in descriptor page" `Quick test_fifo_grefs_roundtrip;
       ]

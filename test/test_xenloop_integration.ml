@@ -225,6 +225,48 @@ let test_waiting_list_engages_under_pressure () =
       Alcotest.(check bool) "waiting list was used" true
         ((Gm.stats m1).Gm.queued_to_waiting > 0))
 
+let test_parked_datagram_keeps_its_bytes () =
+  (* A payload handed to [Udp.sendto] belongs to the stack: the waiting
+     list holds the packet, payload by reference, not a serialized copy.
+     Datagrams parked on a full 2 KiB ring (and the descriptors ahead of
+     them) must arrive with exactly the bytes
+     they were sent with, in order. *)
+  let duo = Setup.build ~fifo_k:8 Setup.Xenloop_path in
+  let m1, _ = modules_of duo in
+  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+  Experiment.execute duo (fun () ->
+      let bind udp ?port () =
+        match Netstack.Udp.bind udp ?port () with
+        | Ok s -> s
+        | Error _ -> Alcotest.fail "bind"
+      in
+      let server_sock = bind server.Workloads.Host.udp ~port:905 () in
+      let client_sock = bind client.Workloads.Host.udp () in
+      (* Keep the receiver busy so the ring fills. *)
+      Sim.Engine.spawn duo.Setup.engine (fun () ->
+          Sim.Resource.use (Stack.cpu duo.Setup.server.Scenarios.Endpoint.stack)
+            (Sim.Time.ms 5));
+      let n = 100 in
+      let sent =
+        List.init n (fun i ->
+            Bytes.init (1000 + (7 * i)) (fun j ->
+                Char.chr (((i * 31) + (j * 7)) land 0xff)))
+      in
+      List.iter
+        (fun payload ->
+          Netstack.Udp.sendto client_sock ~dst:duo.Setup.server_ip ~dst_port:905
+            (Bytes.copy payload))
+        sent;
+      Alcotest.(check bool) "datagrams parked" true
+        ((Gm.stats m1).Gm.queued_to_waiting > 0);
+      let received =
+        List.init n (fun _ ->
+            let _, _, payload = Netstack.Udp.recvfrom server_sock in
+            payload)
+      in
+      Alcotest.(check bool) "every datagram arrived with its bytes, in order" true
+        (List.for_all2 Bytes.equal sent received))
+
 let prop_channel_random_bidirectional_traffic =
   QCheck.Test.make
     ~name:"xenloop channel delivers random bidirectional datagram mixes" ~count:8
@@ -651,6 +693,8 @@ let suites =
         Alcotest.test_case "teardown notifies peer" `Quick test_teardown_notifies_peer;
         Alcotest.test_case "oversize packets fall back" `Quick
           test_large_packets_fall_back;
+        Alcotest.test_case "parked datagram keeps its bytes" `Quick
+          test_parked_datagram_keeps_its_bytes;
         Alcotest.test_case "waiting list under pressure" `Quick
           test_waiting_list_engages_under_pressure;
         Alcotest.test_case "corrupt peer quarantined" `Quick

@@ -65,7 +65,7 @@ let test_push_many_roundtrip_across_pages () =
   let _, _, f = make_fifo ~k:10 () in
   let payload i = Bytes.init 300 (fun j -> Char.chr ((i + (j * 7)) land 0xff)) in
   let batch = List.init 20 payload in
-  Alcotest.(check int) "all 20 pushed" 20 (Fifo.push_many f batch).Fifo.pr_pushed;
+  Alcotest.(check int) "all 20 pushed" 20 (Fifo.push_many f Fifo.raw batch).Fifo.pr_pushed;
   List.iteri
     (fun i expected ->
       match Fifo.pop f with
@@ -79,7 +79,7 @@ let test_push_many_stops_at_full () =
   let _, _, f = make_fifo ~k:6 () in
   (* Each 100-byte payload needs 14 slots; 64 slots admit 4 of them. *)
   let batch = List.init 10 (fun i -> Bytes.make 100 (Char.chr (0x30 + i))) in
-  Alcotest.(check int) "prefix pushed" 4 (Fifo.push_many f batch).Fifo.pr_pushed;
+  Alcotest.(check int) "prefix pushed" 4 (Fifo.push_many f Fifo.raw batch).Fifo.pr_pushed;
   (* The prefix that made it is intact and in order. *)
   for i = 0 to 3 do
     match Fifo.pop f with

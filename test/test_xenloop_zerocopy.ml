@@ -206,7 +206,7 @@ let test_push_many_reports_paths () =
       Bytes.make 50 'e';  (* inline *)
     ]
   in
-  let r = Fifo.push_many f ~pool ~inline_max:256 batch in
+  let r = Fifo.push_many f ~pool ~inline_max:256 Fifo.raw batch in
   Alcotest.(check int) "all pushed" 5 r.Fifo.pr_pushed;
   Alcotest.(check int) "descriptor-backed" 2 r.Fifo.pr_desc;
   Alcotest.(check int) "inline" 3 r.Fifo.pr_inline;
@@ -613,6 +613,144 @@ let test_migration_with_descriptors_in_flight () =
       Alcotest.(check int) "payload arrived over the new channel" 1
         (List.length !received))
 
+(* The one writer, into the slots: a frame written through a pool's
+   sink lies across its scatter vector exactly as [Codec.serialize]
+   lays it out in one buffer, checksum computed or elided.  Slot sizes
+   of one and two pages put the header/payload seam and the slot seams
+   at varying offsets; payloads run from empty to several slots. *)
+let prop_slot_writer_matches_serialize =
+  let mac_a = Netcore.Mac.of_int64 0x00163e000001L
+  and mac_b = Netcore.Mac.of_int64 0x00163e000002L in
+  let ip_a = Netcore.Ip.of_octets 10 0 0 1 and ip_b = Netcore.Ip.of_octets 10 0 0 2 in
+  let gen =
+    QCheck.Gen.(
+      let* tcp = bool and* csum = bool and* slot_pages = 1 -- 2 in
+      let* len = 0 -- 20_000 and* sp = 0 -- 0xffff and* dp = 0 -- 0xffff in
+      let* fill = 0 -- 255 and* seed = 0 -- 1_000_000 in
+      let payload = Bytes.init len (fun i -> Char.chr ((fill + (i * 13)) land 0xff)) in
+      let packet =
+        if tcp then
+          let header =
+            {
+              Netcore.Transport.tcp_src_port = sp;
+              tcp_dst_port = dp;
+              seq = Int32.of_int seed;
+              ack_seq = 7l;
+              flags =
+                {
+                  Netcore.Transport.syn = false;
+                  ack = true;
+                  fin = false;
+                  psh = true;
+                  rst = false;
+                };
+              window = 0xffff;
+            }
+          in
+          Netcore.Packet.tcp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b
+            ~header payload
+        else
+          Netcore.Packet.udp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b
+            ~src_port:sp ~dst_port:dp payload
+      in
+      return (packet, csum, slot_pages, seed))
+  in
+  QCheck.Test.make ~name:"writer into pool slots equals serialize" ~count:200
+    (QCheck.make
+       ~print:(fun (p, csum, slot_pages, _) ->
+         Format.asprintf "%a csum=%b slot_pages=%d" Netcore.Packet.pp p csum slot_pages)
+       gen)
+    (fun (packet, csum, slot_pages, seed) ->
+      let slots = 8 in
+      let _, _, pool = make_pool ~slots ~slot_pages () in
+      let sb = Pool.slot_bytes pool in
+      let expected = Netcore.Codec.serialize ~csum packet in
+      let len = Bytes.length expected in
+      let nchunks = (len + sb - 1) / sb in
+      (* A scattered vector: slot i of the frame is pool slot
+         (seed + 3i) mod 8, all distinct. *)
+      let scatter = Pool.scatter pool in
+      for i = 0 to nchunks - 1 do
+        scatter.(i) <- (seed + (3 * i)) land (slots - 1)
+      done;
+      Netcore.Codec.write ~csum packet (Pool.sink pool);
+      let got = Bytes.create len in
+      for i = 0 to nchunks - 1 do
+        let off = i * sb in
+        Pool.read_into pool ~slot:scatter.(i) ~off:0 ~len:(min sb (len - off)) ~dst:got
+          ~dst_off:off
+      done;
+      Bytes.equal got expected
+      && ((not csum)
+         ||
+         match Netcore.Codec.parse got with
+         | Ok p -> Netcore.Packet.equal p packet
+         | Error _ -> false))
+
+let test_parked_jumbo_leaves_with_checksum () =
+  (* A jumbo is written with its transport checksum elided.  One that
+     finds the ring full waits on the waiting list as a packet; when the
+     channel goes, it leaves through netfront as that packet, and the
+     frame netfront carries checksums like any other.  Meanwhile the
+     jumbos already in the ring come back out of the pool slots they
+     were written into: the stream must arrive byte-identical.  Eight
+     pool slots hold two jumbos, so the third finds no room. *)
+  let params = { Hypervisor.Params.default with xenloop_pool_slots = 8 } in
+  let duo = Setup.build ~params Setup.Xenloop_path in
+  let m1, _ = modules_of duo in
+  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+  Experiment.execute duo (fun () ->
+      let listener =
+        match Netstack.Tcp.listen server.Workloads.Host.tcp ~port:926 with
+        | Ok l -> l
+        | Error _ -> Alcotest.fail "listen"
+      in
+      let conn =
+        match
+          Netstack.Tcp.connect client.Workloads.Host.tcp ~dst:duo.Setup.server_ip
+            ~dst_port:926 ()
+        with
+        | Ok c -> c
+        | Error _ -> Alcotest.fail "connect"
+      in
+      let n = 2 * 1024 * 1024 in
+      let data = Bytes.init n (fun i -> Char.chr ((i * 29) land 0xff)) in
+      let got = ref Bytes.empty in
+      Sim.Engine.spawn duo.Setup.engine (fun () ->
+          let c = Netstack.Tcp.accept listener in
+          got := Netstack.Tcp.recv_exact c n);
+      let client_dev =
+        Option.get (Stack.device duo.Setup.client.Scenarios.Endpoint.stack)
+      in
+      let cap = Netstack.Capture.attach ~engine:duo.Setup.engine client_dev in
+      (* Keep the receiver busy so the ring and the pool fill up. *)
+      Sim.Engine.spawn duo.Setup.engine (fun () ->
+          Sim.Resource.use (Stack.cpu duo.Setup.server.Scenarios.Endpoint.stack)
+            (Sim.Time.ms 5));
+      Sim.Engine.spawn duo.Setup.engine (fun () -> Netstack.Tcp.send conn data);
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      Alcotest.(check bool) "jumbos in the ring" true ((Gm.stats m1).Gm.jumbo_tx > 1);
+      Alcotest.(check bool) "a jumbo is parked" true
+        (Gm.waiting_list_length m1 ~domid:2 > 0);
+      Gm.unload m1;
+      Sim.Engine.sleep (Sim.Time.ms 100);
+      Alcotest.(check bool) "stream byte-identical" true (Bytes.equal data !got);
+      let jumbos =
+        List.filter
+          (fun r ->
+            r.Netstack.Capture.dir = Netstack.Capture.Tx
+            && Netcore.Packet.payload_length r.Netstack.Capture.packet > 9000)
+          (Netstack.Capture.records cap)
+      in
+      Alcotest.(check bool) "parked jumbos left through netfront" true (jumbos <> []);
+      List.iter
+        (fun r ->
+          let p = r.Netstack.Capture.packet in
+          match Netcore.Codec.parse (Netcore.Codec.serialize p) with
+          | Ok p' when Netcore.Packet.equal p p' -> ()
+          | Ok _ | Error _ -> Alcotest.fail "a jumbo left without a valid checksum")
+        jumbos)
+
 let suites =
   [
     ( "xenloop.zerocopy",
@@ -645,6 +783,9 @@ let suites =
           (stranded_teardown_reclaim App_descriptors);
         Alcotest.test_case "stranded jumbo teardown reclaim" `Quick
           (stranded_teardown_reclaim Tcp_jumbos);
+        QCheck_alcotest.to_alcotest prop_slot_writer_matches_serialize;
+        Alcotest.test_case "parked jumbo leaves with its checksum" `Quick
+          test_parked_jumbo_leaves_with_checksum;
         Alcotest.test_case "migration with descriptors in flight" `Slow
           test_migration_with_descriptors_in_flight;
       ] );
