@@ -1,10 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the XenLoop
-   paper's evaluation (Sect. 4), plus microbenchmarks and two ablations.
+   paper's evaluation (Sect. 4), plus microbenchmarks, ablations and the
+   JSON sections behind BENCH_results.json, and holds the gates over them.
 
    Usage:
-     dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- --list
+     dune exec bench/main.exe                 # every section
+     dune exec bench/main.exe -- --list       # sections and their gates
      dune exec bench/main.exe -- --only table1,fig4
+     dune exec bench/main.exe -- --json-smoke out.json --host-timed
 *)
 
 module Setup = Scenarios.Setup
@@ -80,82 +82,55 @@ let snapshots = lazy (List.map (fun k -> (k, snapshot_of k)) Setup.all_kinds)
 
 let get k = List.assoc k (Lazy.force snapshots)
 
+(* One row per benchmark, one column per scenario (the first [n] of
+   [Setup.all_kinds]), then the paper's figures for comparison. *)
+let comparison ~title ~n ~cell rows =
+  let take l = List.filteri (fun i _ -> i < n) l in
+  let t =
+    Sim.Table.create ~title
+      ~columns:
+        (("Benchmark"
+         :: take [ "Inter Machine"; "Netfront/Netback"; "XenLoop"; "Native Loopback" ])
+        @ [ (if n = 3 then "paper I/N/X" else "paper I/N/X/L") ])
+  in
+  List.iter
+    (fun (name, f, paper) ->
+      Sim.Table.add_row t
+        ((name :: List.map (fun k -> cell (f (get k))) (take Setup.all_kinds)) @ [ paper ]))
+    rows;
+  Sim.Table.pp fmt t;
+  Format.fprintf fmt "@."
+
 let table1 () =
   (* Paper Table 1: inter-machine vs netfront/netback vs XenLoop. *)
-  let t =
-    Sim.Table.create ~title:"Table 1: Latency and bandwidth comparison"
-      ~columns:
-        [ "Benchmark"; "Inter Machine"; "Netfront/Netback"; "XenLoop"; "paper I/N/X" ]
-  in
-  let im = get Setup.Inter_machine
-  and nf = get Setup.Netfront_netback
-  and xl = get Setup.Xenloop_path in
-  let row name f paper =
-    Sim.Table.add_row t [ name; r0 (f im); r0 (f nf); r0 (f xl); paper ]
-  in
-  row "Flood Ping RTT (us)" (fun s -> s.ping_rtt_us) "101/140/28";
-  row "netperf TCP_RR (trans/s)" (fun s -> s.tcp_rr) "9387/10236/28529";
-  row "netperf UDP_RR (trans/s)" (fun s -> s.udp_rr) "9784/12600/32803";
-  row "netperf TCP_STREAM (Mbps)" (fun s -> s.tcp_stream) "941/2656/4143";
-  row "netperf UDP_STREAM (Mbps)" (fun s -> s.udp_stream) "710/707/4380";
-  row "lmbench TCP bw (Mbps)" (fun s -> s.lmbench_bw) "848/1488/4920";
-  Sim.Table.pp fmt t;
-  Format.fprintf fmt "@."
+  comparison ~title:"Table 1: Latency and bandwidth comparison" ~n:3 ~cell:r0
+    [
+      ("Flood Ping RTT (us)", (fun s -> s.ping_rtt_us), "101/140/28");
+      ("netperf TCP_RR (trans/s)", (fun s -> s.tcp_rr), "9387/10236/28529");
+      ("netperf UDP_RR (trans/s)", (fun s -> s.udp_rr), "9784/12600/32803");
+      ("netperf TCP_STREAM (Mbps)", (fun s -> s.tcp_stream), "941/2656/4143");
+      ("netperf UDP_STREAM (Mbps)", (fun s -> s.udp_stream), "710/707/4380");
+      ("lmbench TCP bw (Mbps)", (fun s -> s.lmbench_bw), "848/1488/4920");
+    ]
 
 let table2 () =
-  let t =
-    Sim.Table.create ~title:"Table 2: Average bandwidth comparison (Mbps)"
-      ~columns:
-        [
-          "Benchmark";
-          "Inter Machine";
-          "Netfront/Netback";
-          "XenLoop";
-          "Native Loopback";
-          "paper I/N/X/L";
-        ]
-  in
-  let im = get Setup.Inter_machine
-  and nf = get Setup.Netfront_netback
-  and xl = get Setup.Xenloop_path
-  and lo = get Setup.Native_loopback in
-  let row name f paper =
-    Sim.Table.add_row t [ name; r0 (f im); r0 (f nf); r0 (f xl); r0 (f lo); paper ]
-  in
-  row "lmbench (tcp)" (fun s -> s.lmbench_bw) "848/1488/4920/5336";
-  row "netperf (tcp)" (fun s -> s.tcp_stream) "941/2656/4143/4666";
-  row "netperf (udp)" (fun s -> s.udp_stream) "710/707/4380/4928";
-  row "netpipe-mpich" (fun s -> s.netpipe_bw) "645/697/2048/4836";
-  Sim.Table.pp fmt t;
-  Format.fprintf fmt "@."
+  comparison ~title:"Table 2: Average bandwidth comparison (Mbps)" ~n:4 ~cell:r0
+    [
+      ("lmbench (tcp)", (fun s -> s.lmbench_bw), "848/1488/4920/5336");
+      ("netperf (tcp)", (fun s -> s.tcp_stream), "941/2656/4143/4666");
+      ("netperf (udp)", (fun s -> s.udp_stream), "710/707/4380/4928");
+      ("netpipe-mpich", (fun s -> s.netpipe_bw), "645/697/2048/4836");
+    ]
 
 let table3 () =
-  let t =
-    Sim.Table.create ~title:"Table 3: Average latency comparison"
-      ~columns:
-        [
-          "Benchmark";
-          "Inter Machine";
-          "Netfront/Netback";
-          "XenLoop";
-          "Native Loopback";
-          "paper I/N/X/L";
-        ]
-  in
-  let im = get Setup.Inter_machine
-  and nf = get Setup.Netfront_netback
-  and xl = get Setup.Xenloop_path
-  and lo = get Setup.Native_loopback in
-  let row name f paper =
-    Sim.Table.add_row t [ name; r1 (f im); r1 (f nf); r1 (f xl); r1 (f lo); paper ]
-  in
-  row "Flood Ping RTT (us)" (fun s -> s.ping_rtt_us) "101/140/28/6";
-  row "lmbench lat (us RTT)" (fun s -> s.lmbench_lat) "107/98/33/25";
-  row "netperf TCP_RR (trans/s)" (fun s -> s.tcp_rr) "9387/10236/28529/31969";
-  row "netperf UDP_RR (trans/s)" (fun s -> s.udp_rr) "9784/12600/32803/39623";
-  row "netpipe-mpich (us one-way)" (fun s -> s.netpipe_lat) "77.2/61.0/24.9/23.8";
-  Sim.Table.pp fmt t;
-  Format.fprintf fmt "@."
+  comparison ~title:"Table 3: Average latency comparison" ~n:4 ~cell:r1
+    [
+      ("Flood Ping RTT (us)", (fun s -> s.ping_rtt_us), "101/140/28/6");
+      ("lmbench lat (us RTT)", (fun s -> s.lmbench_lat), "107/98/33/25");
+      ("netperf TCP_RR (trans/s)", (fun s -> s.tcp_rr), "9387/10236/28529/31969");
+      ("netperf UDP_RR (trans/s)", (fun s -> s.udp_rr), "9784/12600/32803/39623");
+      ("netpipe-mpich (us one-way)", (fun s -> s.netpipe_lat), "77.2/61.0/24.9/23.8");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figures: per-scenario sweeps *)
@@ -171,22 +146,25 @@ let fig_series ~title ~xlabel ~ylabel per_kind =
       Format.fprintf fmt "@.")
     Setup.all_kinds
 
+(* A figure over message sizes, one fresh scenario per series. *)
+let size_fig ~title ~ylabel measure =
+  fig_series ~title ~xlabel:"message bytes" ~ylabel (fun kind ->
+      in_ctx (make_ctx kind) (fun { client; server; dst; _ } ->
+          List.map (fun (size, y) -> (float_of_int size, y)) (measure ~client ~server ~dst)))
+
 let fig4 () =
   (* UDP throughput vs message size (netperf UDP_STREAM, paper Fig. 4). *)
-  let sizes = [ 64; 256; 1024; 4096; 16384; 32768; 61440 ] in
-  fig_series ~title:"Figure 4: UDP throughput vs message size (netperf)"
-    ~xlabel:"message bytes" ~ylabel:"Mbps" (fun kind ->
-      let ctx = make_ctx kind in
-      in_ctx ctx (fun { client; server; dst; _ } ->
-          List.map
-            (fun size ->
-              let r =
-                Netperf.udp_stream ~client ~server ~dst ~message_size:size
-                  ~total_bytes:(max (512 * 1024) (size * 64))
-                  ()
-              in
-              (float_of_int size, r.Netperf.mbps))
-            sizes))
+  size_fig ~title:"Figure 4: UDP throughput vs message size (netperf)" ~ylabel:"Mbps"
+    (fun ~client ~server ~dst ->
+      List.map
+        (fun size ->
+          let r =
+            Netperf.udp_stream ~client ~server ~dst ~message_size:size
+              ~total_bytes:(max (512 * 1024) (size * 64))
+              ()
+          in
+          (size, r.Netperf.mbps))
+        [ 64; 256; 1024; 4096; 16384; 32768; 61440 ])
 
 let fig5 () =
   (* Throughput vs FIFO size (XenLoop scenario only, paper Fig. 5). *)
@@ -204,73 +182,45 @@ let fig5 () =
     [ 9; 10; 11; 12; 13; 14; 15 ];
   Format.fprintf fmt "@."
 
-let netpipe_sizes = [ 1; 16; 256; 2048; 16384; 65536; 262144 ]
-
 let fig6_7 () =
+  let module Np = Workloads.Netpipe in
+  let sizes = [ 1; 16; 256; 2048; 16384; 65536; 262144 ] in
   let results =
     List.map
       (fun kind ->
-        let ctx = make_ctx kind in
-        let points =
-          in_ctx ctx (fun { client; server; dst; _ } ->
-              Workloads.Netpipe.sweep ~client ~server ~dst ~sizes:netpipe_sizes ())
-        in
-        (kind, points))
+        ( kind,
+          in_ctx (make_ctx kind) (fun { client; server; dst; _ } ->
+              Np.sweep ~client ~server ~dst ~sizes ()) ))
       Setup.all_kinds
   in
-  Format.fprintf fmt "=== Figure 6: netpipe-mpich throughput vs message size ===@.";
-  Format.fprintf fmt "# x: message bytes, y: Mbps@.";
-  List.iter
-    (fun (kind, points) ->
-      Format.fprintf fmt "# series: %s@." (Setup.kind_label kind);
-      List.iter
-        (fun p ->
-          Format.fprintf fmt "%10d %12.2f@." p.Workloads.Netpipe.size
-            p.Workloads.Netpipe.mbps)
-        points;
-      Format.fprintf fmt "@.")
-    results;
-  Format.fprintf fmt "=== Figure 7: netpipe-mpich latency vs message size ===@.";
-  Format.fprintf fmt "# x: message bytes, y: one-way latency (us)@.";
-  List.iter
-    (fun (kind, points) ->
-      Format.fprintf fmt "# series: %s@." (Setup.kind_label kind);
-      List.iter
-        (fun p ->
-          Format.fprintf fmt "%10d %12.2f@." p.Workloads.Netpipe.size
-            p.Workloads.Netpipe.latency_us)
-        points;
-      Format.fprintf fmt "@.")
-    results
+  let fig title ylabel y =
+    fig_series ~title ~xlabel:"message bytes" ~ylabel (fun kind ->
+        List.map (fun p -> (float_of_int p.Np.size, y p)) (List.assoc kind results))
+  in
+  fig "Figure 6: netpipe-mpich throughput vs message size" "Mbps" (fun p -> p.Np.mbps);
+  fig "Figure 7: netpipe-mpich latency vs message size" "one-way latency (us)" (fun p ->
+      p.Np.latency_us)
 
 let osu_sizes = [ 1; 16; 256; 4096; 32768; 262144 ]
 
+let osu_bw (p : Workloads.Osu.bw_point) = (p.Workloads.Osu.size, p.Workloads.Osu.mbps)
+
 let fig8 () =
-  fig_series ~title:"Figure 8: OSU MPI uni-directional bandwidth"
-    ~xlabel:"message bytes" ~ylabel:"Mbps" (fun kind ->
-      let ctx = make_ctx kind in
-      in_ctx ctx (fun { client; server; dst; _ } ->
-          Workloads.Osu.uni_bandwidth ~client ~server ~dst ~sizes:osu_sizes ()
-          |> List.map (fun (p : Workloads.Osu.bw_point) ->
-                 (float_of_int p.Workloads.Osu.size, p.Workloads.Osu.mbps))))
+  size_fig ~title:"Figure 8: OSU MPI uni-directional bandwidth" ~ylabel:"Mbps"
+    (fun ~client ~server ~dst ->
+      List.map osu_bw (Workloads.Osu.uni_bandwidth ~client ~server ~dst ~sizes:osu_sizes ()))
 
 let fig9 () =
-  fig_series ~title:"Figure 9: OSU MPI bi-directional bandwidth"
-    ~xlabel:"message bytes" ~ylabel:"aggregate Mbps" (fun kind ->
-      let ctx = make_ctx kind in
-      in_ctx ctx (fun { client; server; dst; _ } ->
-          Workloads.Osu.bi_bandwidth ~client ~server ~dst ~sizes:osu_sizes ()
-          |> List.map (fun (p : Workloads.Osu.bw_point) ->
-                 (float_of_int p.Workloads.Osu.size, p.Workloads.Osu.mbps))))
+  size_fig ~title:"Figure 9: OSU MPI bi-directional bandwidth" ~ylabel:"aggregate Mbps"
+    (fun ~client ~server ~dst ->
+      List.map osu_bw (Workloads.Osu.bi_bandwidth ~client ~server ~dst ~sizes:osu_sizes ()))
 
 let fig10 () =
-  fig_series ~title:"Figure 10: OSU MPI latency" ~xlabel:"message bytes"
-    ~ylabel:"one-way latency (us)" (fun kind ->
-      let ctx = make_ctx kind in
-      in_ctx ctx (fun { client; server; dst; _ } ->
-          Workloads.Osu.latency ~client ~server ~dst ~sizes:osu_sizes ()
-          |> List.map (fun (p : Workloads.Osu.lat_point) ->
-                 (float_of_int p.Workloads.Osu.size, p.Workloads.Osu.latency_us))))
+  size_fig ~title:"Figure 10: OSU MPI latency" ~ylabel:"one-way latency (us)"
+    (fun ~client ~server ~dst ->
+      List.map
+        (fun (p : Workloads.Osu.lat_point) -> (p.Workloads.Osu.size, p.Workloads.Osu.latency_us))
+        (Workloads.Osu.latency ~client ~server ~dst ~sizes:osu_sizes ()))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11: transactions/sec during migration *)
@@ -735,7 +685,9 @@ let related_baselines () =
   Format.fprintf fmt "@."
 
 (* ------------------------------------------------------------------ *)
-(* JSON results: the notification fast path, before vs after.
+(* JSON sections.  Each measurement prints its line of the text report
+   and returns its JSON object, which is what the gates read.  The first
+   section: the notification fast path, before vs after.
 
    Baseline = per-packet notifications exactly as the paper describes
    (suppression, batching, and polling all disabled); optimized = the
@@ -758,24 +710,8 @@ let module_totals modules = Sim.Counters.sum (List.map Gm.counters modules)
 
 let count = Sim.Counters.value
 
-type wl_result = {
-  w_mbps : float option;
-  w_latency_us : float option;
-  w_delivered_app : int;
-      (* Application-level delivery: bytes received for streams,
-         completed transactions for request/response.  Must be invariant
-         across parameter settings — the fast path may change timing,
-         never delivery. *)
-  w_cycles_per_byte : float;
-      (* vCPU busy time across both guests over the measured run, at the
-         nominal 1 GHz simulated clock, per application byte moved.  For
-         rr workloads the byte basis is the 1 B request + 1 B response
-         per transaction, so the number is dominated by per-packet fixed
-         costs — which is the point of reporting it. *)
-  w_counters : Sim.Counters.snapshot;
-}
-
-let nominal_hz = 1e9
+(* A number of a result object, as the reports print it. *)
+let num j key = match J.member key j with Some (J.Num f) -> f | _ -> Float.nan
 
 let host_busy_meter hosts =
   let cpus = List.map (fun h -> Netstack.Stack.cpu h.Host.stack) hosts in
@@ -784,47 +720,75 @@ let host_busy_meter hosts =
       (fun acc cpu -> acc +. Sim.Time.to_sec_f (Sim.Resource.busy_time cpu))
       0.0 cpus
 
+(* vCPU busy time at the nominal 1 GHz simulated clock, per application
+   byte moved. *)
 let cycles_per_byte ~busy_s ~bytes =
-  if bytes <= 0 then 0.0 else busy_s *. nominal_hz /. float_of_int bytes
+  if bytes <= 0 then 0.0 else busy_s *. 1e9 /. float_of_int bytes
 
+(* [get] reads a counter of a snapshot or of a result object. *)
+let notifies_per_packet get =
+  let delivered = get "via_channel_rx" in
+  if delivered = 0.0 then 0.0 else get "notifies_sent" /. delivered
+
+(* One side of a workload: the measured figures, then every module
+   counter's delta over the run (a counter added to the module shows up
+   here unasked).  [delivered_app] is bytes received for streams,
+   completed transactions for request/response: the fast path may change
+   timing, never delivery.  For rr workloads the cycles/byte basis is the
+   1 B request + 1 B response per transaction, so the number is dominated
+   by per-packet fixed costs — which is the point of reporting it. *)
 let run_json_workload ~params ~smoke name =
   let ctx = make_ctx ~params Setup.Xenloop_path in
   in_ctx ctx (fun { duo; client; server; dst } ->
       let busy = host_busy_meter [ client; server ] in
       let busy0 = busy () in
       let before = module_totals duo.Setup.modules in
-      let w_mbps, w_latency_us, w_delivered_app =
+      let total = if smoke then 512 * 1024 else 8 * 1024 * 1024 in
+      let n = if smoke then 100 else 1500 in
+      let mbps, latency_us, delivered =
         match name with
         | "udp_stream" ->
-            let total = if smoke then 512 * 1024 else 8 * 1024 * 1024 in
             let r = Netperf.udp_stream ~client ~server ~dst ~total_bytes:total () in
-            (Some r.Netperf.mbps, None, r.Netperf.bytes_received)
+            (J.fixed 3 r.Netperf.mbps, J.Null, r.Netperf.bytes_received)
         | "tcp_stream" ->
-            let total = if smoke then 512 * 1024 else 8 * 1024 * 1024 in
             let r = Netperf.tcp_stream ~client ~server ~dst ~total_bytes:total () in
-            (Some r.Netperf.mbps, None, r.Netperf.bytes_received)
+            (J.fixed 3 r.Netperf.mbps, J.Null, r.Netperf.bytes_received)
         | "udp_rr" ->
-            let n = if smoke then 100 else 1500 in
             let r = Netperf.udp_rr ~client ~server ~dst ~transactions:n () in
-            (None, Some r.Netperf.avg_latency_us, r.Netperf.transactions)
+            (J.Null, J.fixed 3 r.Netperf.avg_latency_us, r.Netperf.transactions)
         | "tcp_rr" ->
-            let n = if smoke then 100 else 1500 in
             let r = Netperf.tcp_rr ~client ~server ~dst ~transactions:n () in
-            (None, Some r.Netperf.avg_latency_us, r.Netperf.transactions)
+            (J.Null, J.fixed 3 r.Netperf.avg_latency_us, r.Netperf.transactions)
         | _ -> invalid_arg "run_json_workload"
       in
-      let app_bytes =
-        match name with
-        | "udp_rr" | "tcp_rr" -> w_delivered_app * 2
-        | _ -> w_delivered_app
-      in
-      {
-        w_mbps;
-        w_latency_us;
-        w_delivered_app;
-        w_cycles_per_byte = cycles_per_byte ~busy_s:(busy () -. busy0) ~bytes:app_bytes;
-        w_counters = Sim.Counters.diff (module_totals duo.Setup.modules) before;
-      })
+      let app_bytes = if latency_us = J.Null then delivered else delivered * 2 in
+      let c = Sim.Counters.diff (module_totals duo.Setup.modules) before in
+      let busy_s = busy () -. busy0 in
+      J.Obj
+        ([
+           ("mbps", mbps); ("latency_us", latency_us); ("delivered_app", J.int delivered);
+           ("packets_delivered", J.int (count c "via_channel_rx"));
+           ("cycles_per_byte", J.fixed 4 (cycles_per_byte ~busy_s ~bytes:app_bytes));
+           ( "notifies_per_packet",
+             J.fixed 4 (notifies_per_packet (fun k -> float_of_int (count c k))) );
+         ]
+        @ Sim.Counters.json_members c))
+
+let workload_names = [ "udp_stream"; "tcp_stream"; "udp_rr"; "tcp_rr" ]
+
+let workloads ~smoke =
+  List.map
+    (fun name ->
+      let base = run_json_workload ~params:baseline_params ~smoke name in
+      let opt = run_json_workload ~params:Hypervisor.Params.default ~smoke name in
+      let b = notifies_per_packet (num base) and o = notifies_per_packet (num opt) in
+      Printf.printf "%-12s notifies/packet %8.4f -> %8.4f\n" name b o;
+      J.Obj
+        [
+          ("name", J.Str name); ("baseline", base); ("optimized", opt);
+          ("notify_reduction_factor", J.fixed 2 (if o > 0.0 then b /. o else Float.infinity));
+        ])
+    workload_names
 
 (* ------------------------------------------------------------------ *)
 (* Zero-copy message-size sweep (NetPIPE-style, 64 B to 64 KiB): the
@@ -833,20 +797,9 @@ let run_json_workload ~params ~smoke name =
    application byte delivered.  The grant map hypercalls that set up the
    payload pools are one-time per-connect costs (Cost_meter tracks them
    separately from Page_copy), reported in their own field rather than
-   amortized into the per-byte number. *)
-
-type zc_point = {
-  zp_size : int;
-  zp_mbps : float;
-  zp_delivered_app : int;
-  zp_copied_bytes : int;
-  zp_copies_per_byte : float;
-  zp_counters : Sim.Counters.snapshot;  (* module counter deltas *)
-  zp_grant_maps : int;  (* connect-time total, not per-packet *)
-  zp_host_words_per_byte : float;
-      (* the simulator's own direct major-heap words per delivered byte;
-         x 8 it counts host copies of each byte (DESIGN.md §10) *)
-}
+   amortized into the per-byte number.  [host_words_per_byte] is the
+   simulator's own direct major-heap words per delivered byte; x 8 it
+   counts host copies of each byte (DESIGN.md §10). *)
 
 let machine_meters duo =
   match duo.Setup.machine with
@@ -874,17 +827,14 @@ let run_zc_point ~params ~smoke ~workload size =
       in
       let major0 = direct_major () in
       let total =
-        if smoke then max (128 * 1024) (size * 4)
-        else max (512 * 1024) (size * 64)
+        if smoke then max (128 * 1024) (size * 4) else max (512 * 1024) (size * 64)
       in
       let r =
         match workload with
         | `Udp_stream ->
-            Netperf.udp_stream ~client ~server ~dst ~message_size:size
-              ~total_bytes:total ()
+            Netperf.udp_stream ~client ~server ~dst ~message_size:size ~total_bytes:total ()
         | `Tcp_stream ->
-            Netperf.tcp_stream ~client ~server ~dst ~message_size:size
-              ~total_bytes:total ()
+            Netperf.tcp_stream ~client ~server ~dst ~message_size:size ~total_bytes:total ()
       in
       let c = Sim.Counters.diff (module_totals duo.Setup.modules) before in
       let copied = sum Memory.Cost_meter.bytes_copied - copied0 in
@@ -893,35 +843,46 @@ let run_zc_point ~params ~smoke ~workload size =
         if r.Netperf.bytes_received = 0 then 0.0
         else x /. float_of_int r.Netperf.bytes_received
       in
-      {
-        zp_size = size;
-        zp_mbps = r.Netperf.mbps;
-        zp_delivered_app = r.Netperf.bytes_received;
-        zp_copied_bytes = copied;
-        zp_copies_per_byte = per_byte (float_of_int copied);
-        zp_counters = c;
-        zp_grant_maps = sum Memory.Cost_meter.grant_maps;
-        zp_host_words_per_byte = per_byte host_words;
-      })
+      J.Obj
+        ([
+           ("mbps", J.fixed 3 r.Netperf.mbps);
+           ("delivered_app", J.int r.Netperf.bytes_received);
+           ("copied_bytes", J.int copied);
+           ("copies_per_byte", J.fixed 4 (per_byte (float_of_int copied)));
+           ("grant_maps_connect", J.int (sum Memory.Cost_meter.grant_maps));
+           ("host_words_per_byte", J.fixed 3 (per_byte host_words));
+         ]
+        @ Sim.Counters.json_members c))
+
+(* UDP datagrams cap below 64 KiB; netperf's traditional large send is
+   60 KiB.  TCP has no such limit, so it sweeps to the full 64 KiB.  The
+   smoke run keeps the 16 KiB TCP point the data-path gates read. *)
+let zc_workloads = [ ("udp_stream", `Udp_stream); ("tcp_stream", `Tcp_stream) ]
+
+let zc_sizes ~smoke workload =
+  match (smoke, workload) with
+  | true, `Udp_stream -> [ 64; 4096; 61440 ]
+  | true, `Tcp_stream -> [ 64; 4096; 16384; 65536 ]
+  | false, `Udp_stream -> [ 64; 256; 1024; 4096; 16384; 61440 ]
+  | false, `Tcp_stream -> [ 64; 256; 1024; 4096; 16384; 65536 ]
 
 let zc_sweep ~smoke =
-  (* UDP datagrams cap below 64 KiB; netperf's traditional large send is
-     60 KiB.  TCP has no such limit, so it sweeps to the full 64 KiB. *)
-  let sizes udp =
-    let top = if udp then 61440 else 65536 in
-    if smoke then [ 64; 4096; top ] else [ 64; 256; 1024; 4096; 16384; top ]
-  in
   let zc_off = { Hypervisor.Params.default with Hypervisor.Params.xenloop_zerocopy = false } in
+  let point name workload size =
+    let on = run_zc_point ~params:Hypervisor.Params.default ~smoke ~workload size in
+    let off = run_zc_point ~params:zc_off ~smoke ~workload size in
+    Printf.printf
+      "zc %-10s %6dB  %8.1f -> %8.1f Mbps  copies/byte %5.2f -> %5.2f  fallbacks %.0f  \
+       host words/byte %.3f\n"
+      name size (num off "mbps") (num on "mbps") (num off "copies_per_byte")
+      (num on "copies_per_byte") (num on "pool_fallbacks") (num on "host_words_per_byte");
+    J.Obj [ ("size", J.int size); ("zerocopy", on); ("inline", off) ]
+  in
   List.map
-    (fun (name, workload, udp) ->
-      ( name,
-        List.map
-          (fun size ->
-            let on = run_zc_point ~params:Hypervisor.Params.default ~smoke ~workload size in
-            let off = run_zc_point ~params:zc_off ~smoke ~workload size in
-            (size, on, off))
-          (sizes udp) ))
-    [ ("udp_stream", `Udp_stream, true); ("tcp_stream", `Tcp_stream, false) ]
+    (fun (name, workload) ->
+      let points = List.map (point name workload) (zc_sizes ~smoke workload) in
+      J.Obj [ ("name", J.Str name); ("points", J.Arr points) ])
+    zc_workloads
 
 (* ------------------------------------------------------------------ *)
 (* Mixed workload: a bulk UDP stream and a latency-sensitive TCP_RR
@@ -930,18 +891,7 @@ let zc_sweep ~smoke =
    with several queues the steering hash keeps the two flows on separate
    queue pairs and rr tail latency collapses back toward the idle case. *)
 
-type mixed_result = {
-  mx_queues : int;
-  mx_stream_mbps : float;
-  mx_stream_bytes : int;
-  mx_rr_transactions : int;
-  mx_rr_avg_us : float;
-  mx_rr_p99_us : float;
-  mx_counters : Sim.Counters.snapshot;
-  mx_queue_counters : Sim.Counters.snapshot array;  (* client module, tx side *)
-}
-
-let run_mixed ~params ~smoke () =
+let run_mixed ~smoke q =
   (* Hold notification behavior constant across queue counts: with the
      default 100us poll window, only the single-queue run gets its poller
      kept warm through the burst gaps (by the rr flow sharing the queue),
@@ -949,32 +899,29 @@ let run_mixed ~params ~smoke () =
      doorbell wake-ups at burst boundaries.  A window covering the pacing
      gap keeps every configuration in polling mode throughout. *)
   let params =
-    { params with Hypervisor.Params.xenloop_poll_window = Sim.Time.us 2000 }
+    {
+      Hypervisor.Params.default with
+      Hypervisor.Params.xenloop_queues = q;
+      xenloop_poll_window = Sim.Time.us 2000;
+    }
   in
   let ctx = make_ctx ~params Setup.Xenloop_path in
   in_ctx ctx (fun { duo; client; server; dst } ->
       let engine = duo.Setup.engine in
       let before = module_totals duo.Setup.modules in
-      let nq = params.Hypervisor.Params.xenloop_queues in
       let src = Netstack.Stack.ip_addr client.Host.stack in
       (* UDP steers on the 3-tuple, so the stream's queue is fixed by the
          IP pair; pick a TCP_RR client port whose 5-tuple hashes to a
          different queue so the flows are actually separated. *)
       let stream_q =
-        Steering.queue_index
-          (Steering.ip_flow ~proto:17 ~src ~dst ~sport:0 ~dport:0)
-          ~queues:nq
+        Steering.queue_index (Steering.ip_flow ~proto:17 ~src ~dst ~sport:0 ~dport:0) ~queues:q
       in
       let rr_port = 9200 in
       let rec pick p =
-        if nq <= 1 then p
+        if q <= 1 then p
         else
-          let q =
-            Steering.queue_index
-              (Steering.ip_flow ~proto:6 ~src ~dst ~sport:p ~dport:rr_port)
-              ~queues:nq
-          in
-          if q <> stream_q then p else pick (p + 1)
+          let flow = Steering.ip_flow ~proto:6 ~src ~dst ~sport:p ~dport:rr_port in
+          if Steering.queue_index flow ~queues:q <> stream_q then p else pick (p + 1)
       in
       let rr_client_port = pick 40001 in
       let total = if smoke then 2 * 1024 * 1024 else 8 * 1024 * 1024 in
@@ -987,9 +934,8 @@ let run_mixed ~params ~smoke () =
              under steady pressure for the whole rr run instead of
              overrunning the waiting list in one blast. *)
           let r =
-            Netperf.udp_stream ~client ~server ~dst ~port:9100
-              ~message_size:16384 ~burst:64 ~interval:(Sim.Time.us 1200)
-              ~total_bytes:total ()
+            Netperf.udp_stream ~client ~server ~dst ~port:9100 ~message_size:16384 ~burst:64
+              ~interval:(Sim.Time.us 1200) ~total_bytes:total ()
           in
           stream_res := Some r;
           Sim.Condition.broadcast done_cond);
@@ -1000,80 +946,57 @@ let run_mixed ~params ~smoke () =
            queue counts; without it a faster data path completes more
            transactions during the stream and the extra CPU shows up as a
            phantom stream regression. *)
-        Netperf.tcp_rr ~client ~server ~dst ~port:rr_port
-          ~client_port:rr_client_port ~interval:(Sim.Time.us 1000)
-          ~transactions:n ()
+        Netperf.tcp_rr ~client ~server ~dst ~port:rr_port ~client_port:rr_client_port
+          ~interval:(Sim.Time.us 1000) ~transactions:n ()
       in
       while !stream_res = None do
         Sim.Condition.await done_cond
       done;
       let stream = Option.get !stream_res in
-      let after = module_totals duo.Setup.modules in
+      let c = Sim.Counters.diff (module_totals duo.Setup.modules) before in
+      (* Per-queue counters of the client module (its tx side). *)
       let client_module = List.hd duo.Setup.modules in
-      let mx_queue_counters =
+      let queue_counters =
         match Gm.connected_peer_ids client_module with
         | peer :: _ -> Gm.queue_counters client_module ~domid:peer
         | [] -> [||]
       in
-      {
-        mx_queues = nq;
-        mx_stream_mbps = stream.Netperf.mbps;
-        mx_stream_bytes = stream.Netperf.bytes_received;
-        mx_rr_transactions = rr.Netperf.transactions;
-        mx_rr_avg_us = rr.Netperf.avg_latency_us;
-        mx_rr_p99_us = rr.Netperf.p99_latency_us;
-        mx_counters = Sim.Counters.diff after before;
-        mx_queue_counters;
-      })
+      let per_queue i qc =
+        J.Obj
+          (("queue", J.int i)
+          :: ("steered", J.int (count qc "steered_packets"))
+          :: Sim.Counters.json_members qc)
+      in
+      Printf.printf "mixed q=%d    stream %8.1f Mbps  rr p99 %8.1f us\n" q stream.Netperf.mbps
+        rr.Netperf.p99_latency_us;
+      J.Obj
+        ([
+           ("queues", J.int q); ("stream_mbps", J.fixed 3 stream.Netperf.mbps);
+           ("stream_bytes", J.int stream.Netperf.bytes_received);
+           ("rr_transactions", J.int rr.Netperf.transactions);
+           ("rr_avg_latency_us", J.fixed 3 rr.Netperf.avg_latency_us);
+           ("rr_p99_latency_us", J.fixed 3 rr.Netperf.p99_latency_us);
+           ("rr_p99_latency_us_n", J.int rr.Netperf.transactions);
+         ]
+        @ Sim.Counters.json_members c
+        @ [ ("per_queue", J.Arr (Array.to_list (Array.mapi per_queue queue_counters))) ]))
 
-let notifies_per_packet c =
-  let delivered = count c "via_channel_rx" in
-  if delivered = 0 then 0.0
-  else float_of_int (count c "notifies_sent") /. float_of_int delivered
+let queue_counts ~smoke = if smoke then [ 1; 4 ] else [ 1; 2; 4; 8 ]
+let mixed_sweep ~smoke = List.map (run_mixed ~smoke) (queue_counts ~smoke)
 
-(* The measured figures, then every module counter's delta over the run
-   (a counter added to the module shows up here unasked). *)
-let json_of_side r =
-  let jopt = function None -> J.Null | Some v -> J.fixed 3 v in
-  let c = r.w_counters in
-  J.Obj
-    ([
-       ("mbps", jopt r.w_mbps); ("latency_us", jopt r.w_latency_us);
-       ("delivered_app", J.int r.w_delivered_app);
-       ("packets_delivered", J.int (count c "via_channel_rx"));
-       ("cycles_per_byte", J.fixed 4 r.w_cycles_per_byte);
-       ("notifies_per_packet", J.fixed 4 (notifies_per_packet c));
-     ]
-    @ Sim.Counters.json_members c)
-
-let json_of_mixed m =
-  let per_queue i q =
-    J.Obj
-      (("queue", J.int i)
-      :: ("steered", J.int (count q "steered_packets"))
-      :: Sim.Counters.json_members q)
-  in
-  J.Obj
-    ([
-       ("queues", J.int m.mx_queues); ("stream_mbps", J.fixed 3 m.mx_stream_mbps);
-       ("stream_bytes", J.int m.mx_stream_bytes);
-       ("rr_transactions", J.int m.mx_rr_transactions);
-       ("rr_avg_latency_us", J.fixed 3 m.mx_rr_avg_us);
-       ("rr_p99_latency_us", J.fixed 3 m.mx_rr_p99_us);
-       ("rr_p99_latency_us_n", J.int m.mx_rr_transactions);
-     ]
-    @ Sim.Counters.json_members m.mx_counters
-    @ [ ("per_queue", J.Arr (Array.to_list (Array.mapi per_queue m.mx_queue_counters))) ])
-
-let json_of_zc_point p =
-  J.Obj
-    ([
-       ("mbps", J.fixed 3 p.zp_mbps); ("delivered_app", J.int p.zp_delivered_app);
-       ("copied_bytes", J.int p.zp_copied_bytes);
-       ("copies_per_byte", J.fixed 4 p.zp_copies_per_byte);
-       ("grant_maps_connect", J.int p.zp_grant_maps);
-     ]
-    @ Sim.Counters.json_members p.zp_counters)
+(* Fig. 5 sensitivity under the optimized path. *)
+let fifo_sweep ~smoke =
+  List.map
+    (fun k ->
+      let total = if smoke then 512 * 1024 else 8 * 1024 * 1024 in
+      let mbps =
+        in_ctx (make_ctx ~fifo_k:k Setup.Xenloop_path) (fun { client; server; dst; _ } ->
+            (Netperf.udp_stream ~client ~server ~dst ~total_bytes:total ()).Netperf.mbps)
+      in
+      let kib = (1 lsl k) * 8 / 1024 in
+      Printf.printf "fifo %5d KiB  %8.1f Mbps\n" kib mbps;
+      J.Obj [ ("fifo_k", J.int k); ("fifo_kib", J.int kib); ("mbps", J.fixed 2 mbps) ])
+    (if smoke then [ 9; 13 ] else [ 9; 10; 11; 12; 13; 14; 15 ])
 
 (* ------------------------------------------------------------------ *)
 (* Engine microbenchmark: sim_events_per_sec as a first-class metric.
@@ -1103,59 +1026,42 @@ type engine_bench_point = { ebp_name : string; ebp_events : int; ebp_wall : floa
 let ebp_rate p =
   if p.ebp_wall > 0.0 then float_of_int p.ebp_events /. p.ebp_wall else 0.0
 
+(* Host time of [run] on [engine]. *)
+let timed ebp_name engine run =
+  let t0 = Unix.gettimeofday () in
+  run ();
+  let ebp_wall = Unix.gettimeofday () -. t0 in
+  { ebp_name; ebp_events = Sim.Engine.events_executed engine; ebp_wall }
+
+let run_for engine sim_sec () = Sim.Engine.run ~until:Sim.Time.(add zero (of_sec_f sim_sec)) engine
+
 let eb_callback_churn ~smoke () =
   (* Thousands of concurrent periodic callbacks — the pending-set size the
      cluster-scale roadmap actually implies (hundreds of guests times
      dozens of poll/pacing/TTL timers each), where a comparison-based
      queue pays its O(log n) on every single event. *)
-  let n = 4096 in
-  let sim_sec = if smoke then 0.1 else 1.0 in
   let engine = Sim.Engine.create () in
-  let limit = Sim.Time.(add zero (of_sec_f sim_sec)) in
   let hits = ref 0 in
-  for i = 0 to n - 1 do
-    ignore
-      (Sim.Engine.every engine (Sim.Time.us (50 + (i * 7 mod 1999))) (fun () ->
-           incr hits))
+  for i = 0 to 4095 do
+    ignore (Sim.Engine.every engine (Sim.Time.us (50 + (i * 7 mod 1999))) (fun () -> incr hits))
   done;
-  let t0 = Unix.gettimeofday () in
-  Sim.Engine.run ~until:limit engine;
-  let wall = Unix.gettimeofday () -. t0 in
-  ignore !hits;
-  {
-    ebp_name = "callback_churn";
-    ebp_events = Sim.Engine.events_executed engine;
-    ebp_wall = wall;
-  }
+  timed "callback_churn" engine (run_for engine (if smoke then 0.1 else 1.0))
 
 let eb_sleep_wake ~smoke () =
-  let n = 64 in
-  let iters = if smoke then 5_000 else 40_000 in
   let engine = Sim.Engine.create () in
-  for i = 0 to n - 1 do
+  for i = 0 to 63 do
     let period = Sim.Time.us (3 + (i * 7 mod 97)) in
     Sim.Engine.spawn engine (fun () ->
-        for _ = 1 to iters do
+        for _ = 1 to if smoke then 5_000 else 40_000 do
           Sim.Engine.sleep period
         done)
   done;
-  let t0 = Unix.gettimeofday () in
-  Sim.Engine.run engine;
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    ebp_name = "sleep_wake";
-    ebp_events = Sim.Engine.events_executed engine;
-    ebp_wall = wall;
-  }
+  timed "sleep_wake" engine (fun () -> Sim.Engine.run engine)
 
 let eb_timer_churn ~smoke () =
   let engine = Sim.Engine.create () in
-  let sim_sec = if smoke then 0.25 else 1.0 in
-  let limit = Sim.Time.(add zero (of_sec_f sim_sec)) in
   let fires = ref 0 in
-  let mk i =
-    Sim.Engine.every engine (Sim.Time.us (4 + (i mod 96))) (fun () -> incr fires)
-  in
+  let mk i = Sim.Engine.every engine (Sim.Time.us (4 + (i mod 96))) (fun () -> incr fires) in
   let timers = Array.init 128 mk in
   (* Far-future events sit in the queue the whole run without ever firing:
      the scheduler must stay fast with a populated long-range tail. *)
@@ -1170,27 +1076,14 @@ let eb_timer_churn ~smoke () =
         Sim.Engine.cancel timers.(i);
         timers.(i) <- mk i)
   in
-  let t0 = Unix.gettimeofday () in
-  Sim.Engine.run ~until:limit engine;
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    ebp_name = "timer_churn";
-    ebp_events = Sim.Engine.events_executed engine;
-    ebp_wall = wall;
-  }
+  timed "timer_churn" engine (run_for engine (if smoke then 0.25 else 1.0))
 
 let eb_packet_churn ~smoke () =
   let ctx = make_ctx Setup.Xenloop_path in
   let total = if smoke then 1024 * 1024 else 8 * 1024 * 1024 in
-  let t0 = Unix.gettimeofday () in
-  in_ctx ctx (fun { client; server; dst; _ } ->
-      ignore (Netperf.udp_stream ~client ~server ~dst ~total_bytes:total ()));
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    ebp_name = "packet_churn";
-    ebp_events = Sim.Engine.events_executed ctx.duo.Setup.engine;
-    ebp_wall = wall;
-  }
+  timed "packet_churn" ctx.duo.Setup.engine (fun () ->
+      in_ctx ctx (fun { client; server; dst; _ } ->
+          ignore (Netperf.udp_stream ~client ~server ~dst ~total_bytes:total ())))
 
 let best_of reps f =
   let rec go best n =
@@ -1199,127 +1092,40 @@ let best_of reps f =
       let p = f () in
       go (if ebp_rate p > ebp_rate best then p else best) (n - 1)
   in
-  let first = f () in
-  go first (reps - 1)
+  go (f ()) (reps - 1)
 
-let engine_bench_run ~smoke () =
+(* The headline scenario is the best of three in both modes: it is what
+   the engine-speed gate compares with the recorded rate. *)
+let engine_bench ~smoke =
   let reps = if smoke then 1 else 3 in
-  [
-    best_of reps (eb_callback_churn ~smoke);
-    best_of reps (eb_sleep_wake ~smoke);
-    best_of reps (eb_timer_churn ~smoke);
-    best_of reps (eb_packet_churn ~smoke);
-  ]
-
-let engine_bench_report pts =
-  List.iter
-    (fun p ->
-      Printf.printf "engine_bench %-12s %10d events  %8.3f s  %12.0f events/sec\n"
-        p.ebp_name p.ebp_events p.ebp_wall (ebp_rate p))
-    pts;
-  let rate = ebp_rate (List.hd pts) in
-  Printf.printf "sim_events_per_sec %.0f  (pre-PR baseline %.0f, x%.2f)\n" rate
-    pre_pr_events_per_sec (rate /. pre_pr_events_per_sec);
-  pts
-
-let json_of_engine_bench pts =
-  let rate = ebp_rate (List.hd pts) in
+  let points =
+    [
+      best_of 3 (eb_callback_churn ~smoke);
+      best_of reps (eb_sleep_wake ~smoke);
+      best_of reps (eb_timer_churn ~smoke);
+      best_of reps (eb_packet_churn ~smoke);
+    ]
+  in
+  let rate = ebp_rate (List.hd points) in
   let scenario p =
+    Printf.printf "engine_bench %-12s %10d events  %8.3f s  %12.0f events/sec\n" p.ebp_name
+      p.ebp_events p.ebp_wall (ebp_rate p);
     J.Obj
       [
         ("name", J.Str p.ebp_name); ("events", J.int p.ebp_events);
-        ("wall_seconds", J.fixed 4 p.ebp_wall);
-        ("sim_events_per_sec", J.fixed 0 (ebp_rate p));
+        ("wall_seconds", J.fixed 4 p.ebp_wall); ("sim_events_per_sec", J.fixed 0 (ebp_rate p));
       ]
   in
+  let scenarios = List.map scenario points in
+  Printf.printf "sim_events_per_sec %.0f  (pre-PR baseline %.0f, x%.2f)\n" rate
+    pre_pr_events_per_sec (rate /. pre_pr_events_per_sec);
   J.Obj
     [
       ("pre_pr_events_per_sec", J.fixed 0 pre_pr_events_per_sec);
       ("sim_events_per_sec", J.fixed 0 rate);
       ("improvement_factor", J.fixed 2 (rate /. pre_pr_events_per_sec));
-      ("scenarios", J.Arr (List.map scenario pts));
+      ("scenarios", J.Arr scenarios);
     ]
-
-(* A gate's recorded baseline, read back from BENCH_results.json by the
-   JSON parser; a missing file, a malformed document or a missing key
-   (e.g. a renamed one) fails the gate with the path it looked for. *)
-let recorded ~gate path lookup =
-  let fail msg =
-    Printf.eprintf "%s: %s: %s\n" gate path msg;
-    exit 1
-  in
-  match J.of_string (In_channel.with_open_bin path In_channel.input_all) with
-  | exception Sys_error e -> fail e
-  | Error e -> fail e
-  | Ok doc -> ( match lookup doc with Ok v -> v | Error e -> fail e)
-
-(* The CI regression gate re-measures the headline scenario (smoke size —
-   the rate, not the event count, is what matters) and compares it to the
-   number recorded in BENCH_results.json. *)
-let engine_bench_check path =
-  let recorded =
-    recorded ~gate:"engine-check" path (fun doc ->
-        J.number doc [ "engine_bench"; "sim_events_per_sec" ])
-  in
-  let p = best_of 3 (eb_callback_churn ~smoke:true) in
-  let rate = ebp_rate p in
-  Printf.printf
-    "engine-check: sim_events_per_sec %.0f vs recorded %.0f (%.0f%%)\n" rate
-    recorded
-    (100.0 *. rate /. recorded);
-  if rate < 0.75 *. recorded then begin
-    Printf.eprintf
-      "ENGINE PERF REGRESSION: sim_events_per_sec %.0f is more than 25%% \
-       below the recorded %.0f\n"
-      rate recorded;
-    exit 1
-  end
-
-(* Direct major-heap words per delivered byte the simulator itself
-   allocates on that stream (DESIGN.md §10): 0.610 (4.88 host copies of
-   each byte) with every frame written from its packet straight into the
-   channel, 0.736 (5.89) when the sender serialized each frame into a
-   buffer of its own first, 0.986 (7.89) before the one-copy receive
-   path.  The stream's frames fit one pool slot, so they ride
-   checksummed plain descriptors, whose receive still gathers before it
-   parses; its connection's 64 KiB cork and message buffer weigh on a
-   128 KiB stream.  The budget is 0.610 plus 25%.  The count is
-   deterministic, so the gate holds on any host. *)
-let host_words_budget = 0.76
-
-let datapath_check () =
-  (* CI gate for the loaned receive path (make datapath-check): with
-     loans negotiated (the default), a 16 KiB TCP stream must cross the
-     channel with almost no memcpy — copies/byte above 0.1 means the
-     borrow degenerated back into copy-out somewhere.  TCP deliberately:
-     large UDP datagrams fragment and the reassembly merge is an honest
-     copy this gate must not count against the loan path.  The same
-     stream also gates the simulator's own host copies. *)
-  let size = 16384 in
-  let p =
-    run_zc_point ~params:Hypervisor.Params.default ~smoke:true
-      ~workload:`Tcp_stream size
-  in
-  Printf.printf
-    "datapath-check: tcp_stream %dB  %.1f Mbps  copies/byte %.4f (budget \
-     0.10)  host major words/byte %.3f (budget %.2f)  desc %d  fallbacks %d\n"
-    size p.zp_mbps p.zp_copies_per_byte p.zp_host_words_per_byte
-    host_words_budget (count p.zp_counters "desc_tx")
-    (count p.zp_counters "pool_fallbacks");
-  if p.zp_copies_per_byte > 0.1 then begin
-    Printf.eprintf
-      "DATA PATH REGRESSION: %.4f copies per delivered byte at %d B with \
-       loans on (budget 0.10) — loaned receive is copying out\n"
-      p.zp_copies_per_byte size;
-    exit 1
-  end;
-  if p.zp_host_words_per_byte > host_words_budget then begin
-    Printf.eprintf
-      "SIMULATOR COPY REGRESSION: %.3f host major words per delivered byte \
-       at %d B (budget %.2f) — copies came back on the channel data path\n"
-      p.zp_host_words_per_byte size host_words_budget;
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Segmentation-offload sweep (DESIGN.md §15): TCP streams at large
@@ -1329,30 +1135,18 @@ let datapath_check () =
    descriptor rate collapses — plus cycles/byte, since what the offload
    actually buys is fewer per-descriptor fixed costs. *)
 
-type gso_point = {
-  gp_size : int;  (* application message size *)
-  gp_gso : bool;
-  gp_mbps : float;
-  gp_delivered : int;
-  gp_descs : int;  (* channel entries pushed: descriptor + inline *)
-  gp_descs_per_mib : float;
-  gp_counters : Sim.Counters.snapshot;
-  gp_cycles_per_byte : float;
-}
-
 let run_gso_point ?(wire = false) ~smoke ~gso size =
   (* [wire]: strip the vif's TSO budget too, so the sender emits
      wire-exact-MSS (~1460 B) frames — the per-MSS fallback baseline of
-     DESIGN.md §15 that the descriptor-collapse clause of the gso gate
-     is defined against.  The plain gso-off point keeps netfront TSO
-     (16 KiB super-frames), which is the fair throughput baseline but
-     already amortizes descriptors ~11x over the wire path. *)
+     DESIGN.md §15 that the descriptor-collapse gate is defined against.
+     The plain gso-off point keeps netfront TSO (16 KiB super-frames),
+     which is the fair throughput baseline but already amortizes
+     descriptors ~11x over the wire path. *)
   let params =
     {
       Hypervisor.Params.default with
       Hypervisor.Params.xenloop_gso = gso;
-      vif_gso_size =
-        (if wire then None else Hypervisor.Params.default.vif_gso_size);
+      vif_gso_size = (if wire then None else Hypervisor.Params.default.vif_gso_size);
     }
   in
   let ctx = make_ctx ~params Setup.Xenloop_path in
@@ -1361,163 +1155,46 @@ let run_gso_point ?(wire = false) ~smoke ~gso size =
       let busy0 = busy () in
       let before = module_totals duo.Setup.modules in
       let total = if smoke then 2 * 1024 * 1024 else 8 * 1024 * 1024 in
-      let r =
-        Netperf.tcp_stream ~client ~server ~dst ~message_size:size
-          ~total_bytes:total ()
-      in
+      let r = Netperf.tcp_stream ~client ~server ~dst ~message_size:size ~total_bytes:total () in
       let c = Sim.Counters.diff (module_totals duo.Setup.modules) before in
       let busy_s = busy () -. busy0 in
+      (* Channel entries pushed: descriptor + inline. *)
       let descs = count c "desc_tx" + count c "inline_tx" in
       let mib = float_of_int r.Netperf.bytes_received /. (1024.0 *. 1024.0) in
-      {
-        gp_size = size;
-        gp_gso = gso;
-        gp_mbps = r.Netperf.mbps;
-        gp_delivered = r.Netperf.bytes_received;
-        gp_descs = descs;
-        gp_descs_per_mib = (if mib > 0.0 then float_of_int descs /. mib else 0.0);
-        gp_counters = c;
-        gp_cycles_per_byte =
-          cycles_per_byte ~busy_s ~bytes:r.Netperf.bytes_received;
-      })
+      J.Obj
+        ([
+           ("mbps", J.fixed 3 r.Netperf.mbps); ("delivered_app", J.int r.Netperf.bytes_received);
+           ("descriptors", J.int descs);
+           ( "descriptors_per_mib",
+             J.fixed 1 (if mib > 0.0 then float_of_int descs /. mib else 0.0) );
+           ("cycles_per_byte", J.fixed 4 (cycles_per_byte ~busy_s ~bytes:r.Netperf.bytes_received));
+         ]
+        @ Sim.Counters.json_members c))
 
+let gso_sizes ~smoke = if smoke then [ 16384; 65536 ] else [ 4096; 16384; 65536 ]
+
+(* The 64 KiB size also carries the per-MSS wire point. *)
 let gso_sweep ~smoke =
-  let sizes = if smoke then [ 16384; 65536 ] else [ 4096; 16384; 65536 ] in
   List.map
     (fun size ->
       let on = run_gso_point ~smoke ~gso:true size in
       let off = run_gso_point ~smoke ~gso:false size in
-      (size, on, off))
-    sizes
-
-let json_of_gso_point p =
-  J.Obj
-    ([
-       ("mbps", J.fixed 3 p.gp_mbps); ("delivered_app", J.int p.gp_delivered);
-       ("descriptors", J.int p.gp_descs);
-       ("descriptors_per_mib", J.fixed 1 p.gp_descs_per_mib);
-       ("cycles_per_byte", J.fixed 4 p.gp_cycles_per_byte);
-     ]
-    @ Sim.Counters.json_members p.gp_counters)
-
-let gso_point_report (size, on, off) =
-  Printf.printf
-    "gso %6dB  off %8.1f Mbps (%7.1f desc/MiB)  on %8.1f Mbps (%7.1f \
-     desc/MiB)  jumbos %d  cycles/B %.3f -> %.3f\n"
-    size off.gp_mbps off.gp_descs_per_mib on.gp_mbps on.gp_descs_per_mib
-    (count on.gp_counters "jumbo_tx")
-    off.gp_cycles_per_byte on.gp_cycles_per_byte
-
-(* CI gate (make gso-check): three independent clauses.
-   (a) Offload must pay: gso-on 64 KiB TCP_STREAM >= 1.2x the gso-off
-       throughput (gso-off keeps netfront TSO, so this is the hard
-       baseline), with the jumbo path actually engaged, and the channel
-       descriptor rate down at least 10x against the per-MSS wire
-       baseline (vif TSO stripped) — the frame population the receiver
-       would software-segment back to on netfront fallback, and the
-       granularity the paper's loopback moves at.
-   (b) Offload may not change delivery: byte counts identical on vs off.
-   (c) Offload-off must be invisible: the chaos digest matrix with gso
-       off is bit-for-bit identical whether or not the Jumbo_truncate
-       fault is armed — the gso machinery contributes nothing, not even
-       an RNG draw, to a world that did not negotiate it. *)
-let gso_check () =
-  let on = run_gso_point ~smoke:true ~gso:true 65536 in
-  let off = run_gso_point ~smoke:true ~gso:false 65536 in
-  let wire = run_gso_point ~wire:true ~smoke:true ~gso:false 65536 in
-  gso_point_report (65536, on, off);
-  Printf.printf
-    "gso  wire-MSS baseline (vif TSO off): %8.1f Mbps (%7.1f desc/MiB)\n"
-    wire.gp_mbps wire.gp_descs_per_mib;
-  let failed = ref false in
-  if on.gp_mbps < 1.2 *. off.gp_mbps then begin
-    Printf.eprintf
-      "GSO REGRESSION: 64 KiB tcp_stream %.1f Mbps with offload on vs %.1f \
-       off (%.2fx, floor 1.20x)\n"
-      on.gp_mbps off.gp_mbps
-      (if off.gp_mbps > 0.0 then on.gp_mbps /. off.gp_mbps else 0.0);
-    failed := true
-  end;
-  if on.gp_descs_per_mib > wire.gp_descs_per_mib /. 10.0 then begin
-    Printf.eprintf
-      "GSO REGRESSION: %.1f descriptors/MiB with offload on vs %.1f on the \
-       per-MSS wire baseline — the jumbo path is not coalescing 10x\n"
-      on.gp_descs_per_mib wire.gp_descs_per_mib;
-    failed := true
-  end;
-  if count on.gp_counters "jumbo_tx" = 0 then begin
-    Printf.eprintf
-      "GSO REGRESSION: no jumbo descriptors moved on a 64 KiB gso-on stream\n";
-    failed := true
-  end;
-  if on.gp_delivered <> off.gp_delivered then begin
-    Printf.eprintf
-      "GSO DELIVERY MISMATCH: offload on delivered %d bytes, off delivered \
-       %d\n"
-      on.gp_delivered off.gp_delivered;
-    failed := true
-  end;
-  (* (c): gso-off digest matrix, armed vs unarmed Jumbo_truncate.
-
-     One caveat bounds which fault sets can be compared this way: the
-     harness logs a generic "fault windows cleared" event at
-     [Fault.clearance] (the max [f_stop] over every armed spec,
-     whatever its kind), so appending ANY spec to a set whose window
-     envelope it extends moves that bookkeeping timestamp — for any
-     fault kind, armed or not, gso or not.  That is harness scheduling,
-     not gso machinery.  The invisibility claim under test is that the
-     jumbo fault contributes no *draws or injections*, so the matrix
-     compares exactly the sets whose envelope already covers the jumbo
-     window: each applicable single whose default window ends no
-     earlier, plus the full storm. *)
-  let digest_of ~seed ~faults =
-    let v, _ =
-      Chaos.Harness.run
-        (Chaos.Harness.default_config ~seed ~faults Chaos.Harness.Xenloop_duo)
-    in
-    (v.Chaos.Harness.v_log_digest, v.Chaos.Harness.v_log_length)
-  in
-  let applicable_specs =
-    List.filter_map
-      (fun k ->
-        if Chaos.Harness.applicable Chaos.Harness.Xenloop_duo k then
-          Some (Chaos.Fault.default_spec k)
-        else None)
-      Chaos.Fault.all
-  in
-  let jumbo_spec = Chaos.Fault.default_spec Chaos.Fault.Jumbo_truncate in
-  let envelope_stable specs =
-    List.exists
-      (fun s -> s.Chaos.Fault.f_stop >= jumbo_spec.Chaos.Fault.f_stop)
-      specs
-  in
-  let singles =
-    List.filter_map
-      (fun s ->
-        if envelope_stable [ s ] then
-          Some (Chaos.Fault.label s.Chaos.Fault.f_kind, [ s ])
-        else None)
-      applicable_specs
-  in
-  List.iter
-    (fun (name, faults) ->
-      List.iter
-        (fun seed ->
-          let d0 = digest_of ~seed ~faults in
-          let d1 = digest_of ~seed ~faults:(faults @ [ jumbo_spec ]) in
-          if d0 = d1 then
-            Printf.printf "gso-check: %s seed=%d digest %s unperturbed\n" name
-              seed (fst d0)
-          else begin
-            Printf.eprintf
-              "GSO DIGEST PERTURBATION: %s seed=%d digest %s (len %d) became \
-               %s (len %d) when Jumbo_truncate was armed in a gso-off world\n"
-              name seed (fst d0) (snd d0) (fst d1) (snd d1);
-            failed := true
-          end)
-        [ 42; 43 ])
-    (singles @ [ ("storm", applicable_specs) ]);
-  if !failed then exit 1
+      Printf.printf
+        "gso %6dB  off %8.1f Mbps (%7.1f desc/MiB)  on %8.1f Mbps (%7.1f desc/MiB)  jumbos \
+         %.0f  cycles/B %.3f -> %.3f\n"
+        size (num off "mbps") (num off "descriptors_per_mib") (num on "mbps")
+        (num on "descriptors_per_mib") (num on "jumbo_tx") (num off "cycles_per_byte")
+        (num on "cycles_per_byte");
+      let wire =
+        if size <> 65536 then []
+        else
+          let w = run_gso_point ~wire:true ~smoke ~gso:false size in
+          Printf.printf "gso %6dB  wire-MSS baseline (vif TSO off): %8.1f Mbps (%7.1f desc/MiB)\n"
+            size (num w "mbps") (num w "descriptors_per_mib");
+          [ ("wire", w) ]
+      in
+      J.Obj ([ ("size", J.int size); ("gso", on); ("gso_off", off) ] @ wire))
+    (gso_sizes ~smoke)
 
 (* ------------------------------------------------------------------ *)
 (* Mesh sweep: the cluster-scale control plane (DESIGN.md §12).
@@ -1533,23 +1210,7 @@ let gso_check () =
 
 module Mesh = Scenarios.Mesh
 
-type mesh_point = {
-  me_guests : int;
-  me_delta : bool;
-  me_hosts : int;
-  me_channels_per_sec : float;
-  me_established : int;
-  me_evicted : int;
-  me_live_channels : int;
-  me_pool_bytes : int;
-  me_grant_entries : int;
-  me_steady_bytes_per_guest : float;  (** over {!mesh_steady_window} *)
-  me_announces_sent : int;
-  me_suppressed : int;
-}
-
 let mesh_channel_cap = 8
-let mesh_ring_degree = 4
 
 (* The control-plane cadence must scale with per-host population: a scan
    costs Dom0 real (simulated) CPU per guest — XenStore reads plus a
@@ -1559,14 +1220,8 @@ let mesh_ring_degree = 4
    per-host guest count (floor 10 ms) keeps Dom0 load roughly constant
    across mesh sizes; the steady-state window is a fixed 20 scan periods
    so announce bytes per guest stays comparable across N. *)
-let mesh_period ~guests ~hosts =
-  Sim.Time.ms (max 10 (guests / hosts))
-
-let mesh_steady_window ~guests ~hosts =
-  Sim.Time.span_scale 20 (mesh_period ~guests ~hosts)
-
-let run_mesh_point ~guests ~hosts ~delta () =
-  let period = mesh_period ~guests ~hosts in
+let run_mesh_point ~guests ~hosts ~delta =
+  let period = Sim.Time.ms (max 10 (guests / hosts)) in
   let params =
     {
       Hypervisor.Params.default with
@@ -1579,17 +1234,13 @@ let run_mesh_point ~guests ~hosts ~delta () =
   (* Smallest channel geometry: the sweep measures the control plane, not
      the data path, and 512 guests at the default ~10 MB per channel
      would measure the allocator instead. *)
-  let m =
-    Mesh.build ~params ~fifo_k:9 ~queues:1 ~zerocopy:false ~guests ~hosts ()
-  in
+  let m = Mesh.build ~params ~fifo_k:9 ~queues:1 ~zerocopy:false ~guests ~hosts () in
   Experiment.run_process ~limit:(Sim.Time.sec 300) m.Mesh.engine (fun () ->
       Mesh.warmup m;
       let t0 = Sim.Engine.now m.Mesh.engine in
-      Mesh.establish_ring m ~degree:mesh_ring_degree;
+      Mesh.establish_ring m ~degree:4;
       Sim.Engine.sleep (Sim.Time.ms 20);
-      let secs =
-        Sim.Time.to_sec_f (Sim.Time.diff (Sim.Engine.now m.Mesh.engine) t0)
-      in
+      let secs = Sim.Time.to_sec_f (Sim.Time.diff (Sim.Engine.now m.Mesh.engine) t0) in
       let established = Mesh.channels_established m in
       (* Steady state: no churn, so every announced byte from here on is
          protocol overhead — heartbeats under delta, the full list under
@@ -1597,115 +1248,43 @@ let run_mesh_point ~guests ~hosts ~delta () =
       let b0 = Mesh.announce_bytes m in
       let a0 = Mesh.announcements_sent m in
       let s0 = Mesh.announcements_suppressed m in
-      Sim.Engine.sleep (mesh_steady_window ~guests ~hosts);
-      {
-        me_guests = guests;
-        me_delta = delta;
-        me_hosts = hosts;
-        me_channels_per_sec =
-          (if secs > 0.0 then float_of_int established /. secs else 0.0);
-        me_established = established;
-        me_evicted = Mesh.channels_evicted m;
-        me_live_channels = Mesh.live_channels m;
-        me_pool_bytes = Mesh.channel_pool_bytes m;
-        me_grant_entries = Mesh.grant_entries m;
-        me_steady_bytes_per_guest =
-          float_of_int (Mesh.announce_bytes m - b0) /. float_of_int guests;
-        me_announces_sent = Mesh.announcements_sent m - a0;
-        me_suppressed = Mesh.announcements_suppressed m - s0;
-      })
+      Sim.Engine.sleep (Sim.Time.span_scale 20 period);
+      let per_sec = if secs > 0.0 then float_of_int established /. secs else 0.0 in
+      let bytes_per_guest = float_of_int (Mesh.announce_bytes m - b0) /. float_of_int guests in
+      let suppressed = Mesh.announcements_suppressed m - s0 in
+      Printf.printf
+        "mesh N=%-3d %s  %7.0f ch/s  live %4d  pool %8d B  grants %5d  announce %8.1f B/guest  \
+         suppressed %d\n"
+        guests
+        (if delta then "delta " else "legacy")
+        per_sec (Mesh.live_channels m) (Mesh.channel_pool_bytes m) (Mesh.grant_entries m)
+        bytes_per_guest suppressed;
+      J.Obj
+        [
+          ("guests", J.int guests); ("delta", J.Bool delta); ("hosts", J.int hosts);
+          ("channels_per_sec", J.fixed 1 per_sec); ("channels_established", J.int established);
+          ("channels_evicted", J.int (Mesh.channels_evicted m));
+          ("live_channels", J.int (Mesh.live_channels m));
+          ("channel_pool_bytes", J.int (Mesh.channel_pool_bytes m));
+          ("grant_entries", J.int (Mesh.grant_entries m));
+          ("steady_announce_bytes_per_guest", J.fixed 1 bytes_per_guest);
+          ("announcements_sent", J.int (Mesh.announcements_sent m - a0));
+          ("announcements_suppressed", J.int suppressed);
+        ])
 
 let mesh_sweep ~smoke =
   (* Single host up to 128 guests — per-host population is what the
-     legacy rebroadcast is linear in — then 512 guests spread over 4
-     hosts for the cluster-scale point the cap is sized against. *)
-  let sizes =
-    if smoke then [ (8, 1); (32, 1) ]
-    else [ (8, 1); (32, 1); (128, 1); (512, 4) ]
-  in
+     legacy rebroadcast is linear in, and N=128 is the point the
+     control-plane gates read — then 512 guests spread over 4 hosts for
+     the cluster-scale point the cap is sized against. *)
   List.concat_map
     (fun (guests, hosts) ->
-      List.map (fun delta -> run_mesh_point ~guests ~hosts ~delta ()) [ true; false ])
-    sizes
+      List.map (fun delta -> run_mesh_point ~guests ~hosts ~delta) [ true; false ])
+    ([ (8, 1); (32, 1); (128, 1) ] @ if smoke then [] else [ (512, 4) ])
 
-let json_of_mesh_point p =
-  J.Obj
-    [
-      ("guests", J.int p.me_guests); ("delta", J.Bool p.me_delta); ("hosts", J.int p.me_hosts);
-      ("channels_per_sec", J.fixed 1 p.me_channels_per_sec);
-      ("channels_established", J.int p.me_established); ("channels_evicted", J.int p.me_evicted);
-      ("live_channels", J.int p.me_live_channels); ("channel_pool_bytes", J.int p.me_pool_bytes);
-      ("grant_entries", J.int p.me_grant_entries);
-      ("steady_announce_bytes_per_guest", J.fixed 1 p.me_steady_bytes_per_guest);
-      ("announcements_sent", J.int p.me_announces_sent);
-      ("announcements_suppressed", J.int p.me_suppressed);
-    ]
-
-let mesh_point_report p =
-  Printf.printf
-    "mesh N=%-3d %s  %7.0f ch/s  live %4d  pool %8d B  grants %5d  \
-     announce %8.1f B/guest  suppressed %d\n"
-    p.me_guests
-    (if p.me_delta then "delta " else "legacy")
-    p.me_channels_per_sec p.me_live_channels p.me_pool_bytes p.me_grant_entries
-    p.me_steady_bytes_per_guest p.me_suppressed
-
-(* CI gate (make mesh-check): re-measure the 128-guest delta point and
-   hold it to (a) a hard ceiling on steady-state announce bytes per guest
-   — O(churn) means a churn-free window costs heartbeats only, orders of
-   magnitude under the legacy full-list rebroadcast — (b) no more than a
-   25% channel bring-up regression vs the recorded run, and (c) the
-   per-guest channel cap actually bounding the live population. *)
-
-let mesh_announce_budget = 1024.0 (* bytes/guest over mesh_steady_window *)
-
-let mesh_recorded_channels_per_sec doc =
-  let gate_point p =
-    J.member "guests" p = Some (J.Num 128.0) && J.member "delta" p = Some (J.Bool true)
-  in
-  let where = "mesh_sweep[guests=128,delta=true]" in
-  match J.path doc [ "mesh_sweep" ] with
-  | Ok (J.Arr points) when List.exists gate_point points ->
-      Result.map_error
-        (fun e -> where ^ "." ^ e)
-        (J.number (List.find gate_point points) [ "channels_per_sec" ])
-  | Ok _ -> Error (where ^ ": no such point")
-  | Error _ as e -> e
-
-let mesh_check path =
-  let recorded = recorded ~gate:"mesh-check" path mesh_recorded_channels_per_sec in
-  let p = run_mesh_point ~guests:128 ~hosts:1 ~delta:true () in
-  Printf.printf
-    "mesh-check: channels/sec %.0f vs recorded %.0f (%.0f%%)  steady \
-     announce %.1f B/guest (budget %.0f)  live %d (cap %d)\n"
-    p.me_channels_per_sec recorded
-    (100.0 *. p.me_channels_per_sec /. recorded)
-    p.me_steady_bytes_per_guest mesh_announce_budget p.me_live_channels
-    (p.me_guests * mesh_channel_cap);
-  let failed = ref false in
-  if p.me_steady_bytes_per_guest > mesh_announce_budget then begin
-    Printf.eprintf
-      "MESH CONTROL-PLANE REGRESSION: steady-state announce %.1f \
-       bytes/guest exceeds the O(churn) budget %.0f — delta \
-       announcements have degenerated toward full-list rebroadcast\n"
-      p.me_steady_bytes_per_guest mesh_announce_budget;
-    failed := true
-  end;
-  if p.me_channels_per_sec < 0.75 *. recorded then begin
-    Printf.eprintf
-      "MESH BRING-UP REGRESSION: %.0f channels/sec is more than 25%% \
-       below the recorded %.0f\n"
-      p.me_channels_per_sec recorded;
-    failed := true
-  end;
-  if p.me_live_channels > p.me_guests * mesh_channel_cap then begin
-    Printf.eprintf
-      "MESH CAP VIOLATION: %d live channels across %d guests exceeds \
-       the per-guest cap of %d\n"
-      p.me_live_channels p.me_guests mesh_channel_cap;
-    failed := true
-  end;
-  if !failed then exit 1
+(* O(churn) means a churn-free window costs heartbeats only, orders of
+   magnitude under the legacy full-list rebroadcast. *)
+let mesh_announce_budget = 1024.0 (* bytes/guest over the steady window *)
 
 (* ------------------------------------------------------------------ *)
 (* Fairness sweep (DESIGN.md §14): incast fan-in and elephant-vs-mice,
@@ -1716,17 +1295,6 @@ let mesh_check path =
    is computed over per-flow bytes delivered inside a fixed window; the
    mice are a concurrent TCP_RR whose p99 is the victim latency the CI
    gate tracks. *)
-
-type fairness_side = {
-  fz_qos : bool;
-  fz_jain : float option;  (* incast: over raw per-flow delivered bytes *)
-  fz_flows : (int * int * bool) list;  (* port, window bytes, misbehaving *)
-  fz_victim_transactions : int;
-  fz_victim_p50_us : float;
-  fz_victim_p99_us : float;
-  fz_udp_mbps : float;  (* aggregate UDP goodput over the window *)
-  fz_flow_stats : Gm.flow_stat list;  (* client tx module; [] when QoS off *)
-}
 
 let jain = function
   | [] -> 1.0
@@ -1759,7 +1327,7 @@ let fairness_params ~qos =
    qos on/off are indistinguishable. *)
 let fairness_burners = 3
 
-let run_fairness_side ~smoke ~qos ~with_jain ~senders () =
+let run_fairness_side ~smoke ~qos ~with_jain ~senders name =
   let ctx =
     make_ctx ~params:(fairness_params ~qos) ~fifo_k:9 Setup.Xenloop_path
   in
@@ -1835,25 +1403,55 @@ let run_fairness_side ~smoke ~qos ~with_jain ~senders () =
       let flow_bytes =
         List.mapi (fun i (port, _, _, mis) -> (port, received.(i), mis)) senders
       in
-      let client_module = List.hd duo.Setup.modules in
-      let fz_flow_stats = Gm.flow_stats client_module in
+      let flow_stats = Gm.flow_stats (List.hd duo.Setup.modules) in
       stop := true;
       Sim.Engine.sleep (Sim.Time.ms 2);
-      {
-        fz_qos = qos;
-        fz_jain =
-          (if with_jain then
-             Some (jain (List.map (fun (_, b, _) -> float_of_int b) flow_bytes))
-           else None);
-        fz_flows = flow_bytes;
-        fz_victim_transactions = rr.Netperf.transactions;
-        fz_victim_p50_us = rr.Netperf.p50_latency_us;
-        fz_victim_p99_us = rr.Netperf.p99_latency_us;
-        fz_udp_mbps =
-          (let total = Array.fold_left ( + ) 0 received in
-           float_of_int (total * 8) /. Sim.Time.to_us_f window);
-        fz_flow_stats;
-      })
+      let n = J.int rr.Netperf.transactions in
+      let jain =
+        if with_jain then Some (jain (List.map (fun (_, b, _) -> float_of_int b) flow_bytes))
+        else None
+      in
+      (* Aggregate UDP goodput over the window. *)
+      let udp_mbps =
+        float_of_int (Array.fold_left ( + ) 0 received * 8) /. Sim.Time.to_us_f window
+      in
+      let flow (port, bytes, mis) =
+        J.Obj [ ("port", J.int port); ("bytes", J.int bytes); ("misbehaving", J.Bool mis) ]
+      in
+      (* Per-flow accounting of the client's tx module; none when QoS is off. *)
+      let flow_stat fs =
+        J.Obj
+          [
+            ("flow", J.Str fs.Gm.fs_label); ("tenant", J.int fs.Gm.fs_tenant);
+            ("weight", J.int fs.Gm.fs_weight); ("bytes", J.int fs.Gm.fs_bytes);
+            ("frames", J.int fs.Gm.fs_frames); ("descs", J.int fs.Gm.fs_descs);
+            ("waiting_overflows", J.int fs.Gm.fs_overflows);
+            ("congestion_raises", J.int fs.Gm.fs_congestion_raises);
+            ("congestion_clears", J.int fs.Gm.fs_congestion_clears);
+          ]
+      in
+      Printf.printf
+        "fairness %-22s jain %-6s udp %8.1f Mbps  victim rr p99 %8.1f us  overflowing flows %d\n"
+        name
+        (match jain with Some j -> Printf.sprintf "%.3f" j | None -> "-")
+        udp_mbps rr.Netperf.p99_latency_us
+        (List.length (List.filter (fun f -> f.Gm.fs_overflows > 0) flow_stats));
+      ( J.Obj
+          [
+            ("qos", J.Bool qos);
+            ("jain", match jain with Some j -> J.fixed 4 j | None -> J.Null);
+            ("udp_mbps", J.fixed 1 udp_mbps);
+            ( "victim_rr",
+              J.Obj
+                [
+                  ("transactions", n); ("p50_us", J.fixed 1 rr.Netperf.p50_latency_us);
+                  ("p50_us_n", n); ("p99_us", J.fixed 1 rr.Netperf.p99_latency_us);
+                  ("p99_us_n", n);
+                ] );
+            ("flows", J.Arr (List.map flow flow_bytes));
+            ("flow_stats", J.Arr (List.map flow_stat flow_stats));
+          ],
+        rr.Netperf.p99_latency_us ))
 
 (* Incast fan-in: 8 sockets on one guest into one receiver, one of them
    a jumbo-datagram flood (fragmented, so it keys one heavy flow while
@@ -1867,310 +1465,39 @@ let incast_senders =
    the figure of merit (Jain over one UDP flow says nothing). *)
 let elephant_senders = [ (8100, 4096, 6, true) ]
 
-type fairness_sweep = {
-  fw_incast_off : fairness_side;
-  fw_incast_on : fairness_side;
-  fw_elephant_off : fairness_side;
-  fw_elephant_on : fairness_side;
-}
-
 let run_fairness_sweep ~smoke =
-  {
-    fw_incast_off =
-      run_fairness_side ~smoke ~qos:false ~with_jain:true
-        ~senders:incast_senders ();
-    fw_incast_on =
-      run_fairness_side ~smoke ~qos:true ~with_jain:true
-        ~senders:incast_senders ();
-    fw_elephant_off =
-      run_fairness_side ~smoke ~qos:false ~with_jain:false
-        ~senders:elephant_senders ();
-    fw_elephant_on =
-      run_fairness_side ~smoke ~qos:true ~with_jain:false
-        ~senders:elephant_senders ();
-  }
-
-let json_of_fairness_side z =
-  let flow (port, bytes, mis) =
-    J.Obj [ ("port", J.int port); ("bytes", J.int bytes); ("misbehaving", J.Bool mis) ]
+  let side = run_fairness_side ~smoke in
+  let incast_off, _ = side ~qos:false ~with_jain:true ~senders:incast_senders "incast/qos-off" in
+  let incast_on, _ = side ~qos:true ~with_jain:true ~senders:incast_senders "incast/qos-on" in
+  let elephant_off, p99_off =
+    side ~qos:false ~with_jain:false ~senders:elephant_senders "elephant-mice/qos-off"
   in
-  let flow_stat fs =
-    J.Obj
-      [
-        ("flow", J.Str fs.Gm.fs_label); ("tenant", J.int fs.Gm.fs_tenant);
-        ("weight", J.int fs.Gm.fs_weight); ("bytes", J.int fs.Gm.fs_bytes);
-        ("frames", J.int fs.Gm.fs_frames); ("descs", J.int fs.Gm.fs_descs);
-        ("waiting_overflows", J.int fs.Gm.fs_overflows);
-        ("congestion_raises", J.int fs.Gm.fs_congestion_raises);
-        ("congestion_clears", J.int fs.Gm.fs_congestion_clears);
-      ]
+  let elephant_on, p99_on =
+    side ~qos:true ~with_jain:false ~senders:elephant_senders "elephant-mice/qos-on"
   in
-  let n = J.int z.fz_victim_transactions in
+  let pair off on = J.Obj [ ("qos_off", off); ("qos_on", on) ] in
   J.Obj
     [
-      ("qos", J.Bool z.fz_qos);
-      ("jain", match z.fz_jain with Some j -> J.fixed 4 j | None -> J.Null);
-      ("udp_mbps", J.fixed 1 z.fz_udp_mbps);
-      ( "victim_rr",
-        J.Obj
-          [
-            ("transactions", n); ("p50_us", J.fixed 1 z.fz_victim_p50_us);
-            ("p50_us_n", n); ("p99_us", J.fixed 1 z.fz_victim_p99_us); ("p99_us_n", n);
-          ] );
-      ("flows", J.Arr (List.map flow z.fz_flows));
-      ("flow_stats", J.Arr (List.map flow_stat z.fz_flow_stats));
+      ("incast", pair incast_off incast_on);
+      ("elephant_mice", pair elephant_off elephant_on);
+      ( "victim_p99_improvement",
+        J.fixed 2 (if p99_on > 0.0 then p99_off /. p99_on else Float.infinity) );
     ]
 
-let victim_p99_improvement s =
-  if s.fw_elephant_on.fz_victim_p99_us > 0.0 then
-    s.fw_elephant_off.fz_victim_p99_us /. s.fw_elephant_on.fz_victim_p99_us
-  else Float.infinity
-
-let json_of_fairness s =
-  let pair off on =
-    J.Obj [ ("qos_off", json_of_fairness_side off); ("qos_on", json_of_fairness_side on) ]
+let chaos ~smoke =
+  (* The chaos soak rides along: the numbers above are only worth
+     publishing if the same data path survives fault injection without
+     losing, duplicating, or leaking anything. *)
+  let smoke_case c =
+    List.mem c.Chaos.Soak.c_name [ "xenloop-duo/baseline"; "xenloop-duo/storm" ]
   in
-  J.Obj
-    [
-      ("incast", pair s.fw_incast_off s.fw_incast_on);
-      ("elephant_mice", pair s.fw_elephant_off s.fw_elephant_on);
-      ("victim_p99_improvement", J.fixed 2 (victim_p99_improvement s));
-    ]
-
-let fairness_report s =
-  let side name z =
-    Printf.printf
-      "fairness %-22s jain %-6s udp %8.1f Mbps  victim rr p99 %8.1f us  \
-       overflowing flows %d\n"
-      name
-      (match z.fz_jain with Some j -> Printf.sprintf "%.3f" j | None -> "-")
-      z.fz_udp_mbps z.fz_victim_p99_us
-      (List.length (List.filter (fun f -> f.Gm.fs_overflows > 0) z.fz_flow_stats))
-  in
-  side "incast/qos-off" s.fw_incast_off;
-  side "incast/qos-on" s.fw_incast_on;
-  side "elephant-mice/qos-off" s.fw_elephant_off;
-  side "elephant-mice/qos-on" s.fw_elephant_on
-
-(* CI gate (make fairness-check): re-measure the sweep in smoke mode;
-   QoS-on incast must hold Jain >= 0.95 and the elephant-vs-mice victim
-   p99 must be >= 5x better than the unisolated baseline. *)
-let fairness_check () =
-  let s = run_fairness_sweep ~smoke:true in
-  fairness_report s;
-  let jain_on = Option.value ~default:0.0 s.fw_incast_on.fz_jain in
-  let improvement = victim_p99_improvement s in
-  Printf.printf
-    "fairness-check: qos-on incast jain %.3f (floor 0.95)  victim p99 %.1f \
-     -> %.1f us (%.1fx, floor 5x)\n"
-    jain_on s.fw_elephant_off.fz_victim_p99_us s.fw_elephant_on.fz_victim_p99_us
-    improvement;
-  let failed = ref false in
-  if jain_on < 0.95 then begin
-    Printf.eprintf
-      "FAIRNESS REGRESSION: QoS-on incast Jain index %.3f below the 0.95 \
-       floor — the DRR scheduler is no longer isolating the flooder\n"
-      jain_on;
-    failed := true
-  end;
-  if improvement < 5.0 then begin
-    Printf.eprintf
-      "VICTIM LATENCY REGRESSION: elephant-vs-mice rr p99 improved only \
-       %.1fx with QoS on (floor 5x): off %.1f us, on %.1f us\n"
-      improvement s.fw_elephant_off.fz_victim_p99_us
-      s.fw_elephant_on.fz_victim_p99_us;
-    failed := true
-  end;
-  if !failed then exit 1
-
-let json_mode ~smoke path =
-  let names = [ "udp_stream"; "tcp_stream"; "udp_rr"; "tcp_rr" ] in
-  let results =
-    List.map
-      (fun name ->
-        let base = run_json_workload ~params:baseline_params ~smoke name in
-        let opt = run_json_workload ~params:Hypervisor.Params.default ~smoke name in
-        (name, base, opt))
-      names
-  in
-  let queue_sweep =
-    (* Mixed stream+rr under queues = 1, 2, 4, 8: the multi-queue
-       head-of-line-blocking experiment. *)
-    let qs = if smoke then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-    List.map
-      (fun q ->
-        run_mixed
-          ~params:{ Hypervisor.Params.default with Hypervisor.Params.xenloop_queues = q }
-          ~smoke ())
-      qs
-  in
-  let sweep =
-    (* Fig. 5 sensitivity under the optimized path. *)
-    let ks = if smoke then [ 9; 13 ] else [ 9; 10; 11; 12; 13; 14; 15 ] in
-    List.map
-      (fun k ->
-        let ctx = make_ctx ~fifo_k:k Setup.Xenloop_path in
-        let total = if smoke then 512 * 1024 else 8 * 1024 * 1024 in
-        let mbps =
-          in_ctx ctx (fun { client; server; dst; _ } ->
-              (Netperf.udp_stream ~client ~server ~dst ~total_bytes:total ())
-                .Netperf.mbps)
-        in
-        (k, mbps))
-      ks
-  in
-  let zerocopy_sweep = zc_sweep ~smoke in
-  let gso_points = gso_sweep ~smoke in
-  let mesh_points = mesh_sweep ~smoke in
-  let fairness = run_fairness_sweep ~smoke in
-  let engine_points = engine_bench_run ~smoke () in
-  let chaos_summary =
-    (* The chaos soak rides along: the numbers above are only worth
-       publishing if the same data path survives fault injection without
-       losing, duplicating, or leaking anything. *)
-    let smoke_case c =
-      List.mem c.Chaos.Soak.c_name [ "xenloop-duo/baseline"; "xenloop-duo/storm" ]
-    in
+  let s =
     if smoke then
       Chaos.Soak.run ~cases:(List.filter smoke_case (Chaos.Soak.matrix ())) ~seed:42 ()
     else Chaos.Soak.run ~seed:42 ()
   in
-  (* One size of an on/off sweep. *)
-  let pair (on_key, off_key) json (size, on, off) =
-    J.Obj [ ("size", J.int size); (on_key, json on); (off_key, json off) ]
-  in
-  let doc =
-    J.Obj
-      [
-        ("smoke", J.Bool smoke);
-        ("scenario", J.Str "xenloop_path");
-        ( "workloads",
-          J.Arr
-            (List.map
-               (fun (name, base, opt) ->
-                 let b = notifies_per_packet base.w_counters
-                 and o = notifies_per_packet opt.w_counters in
-                 J.Obj
-                   [
-                     ("name", J.Str name); ("baseline", json_of_side base);
-                     ("optimized", json_of_side opt);
-                     ( "notify_reduction_factor",
-                       J.fixed 2 (if o > 0.0 then b /. o else Float.infinity) );
-                   ])
-               results) );
-        ("mixed_queue_sweep", J.Arr (List.map json_of_mixed queue_sweep));
-        ( "fifo_sweep_udp_stream",
-          J.Arr
-            (List.map
-               (fun (k, mbps) ->
-                 J.Obj
-                   [
-                     ("fifo_k", J.int k); ("fifo_kib", J.int ((1 lsl k) * 8 / 1024));
-                     ("mbps", J.fixed 2 mbps);
-                   ])
-               sweep) );
-        ( "zerocopy_sweep",
-          J.Arr
-            (List.map
-               (fun (name, points) ->
-                 let point = pair ("zerocopy", "inline") json_of_zc_point in
-                 J.Obj [ ("name", J.Str name); ("points", J.Arr (List.map point points)) ])
-               zerocopy_sweep) );
-        ("gso_sweep", J.Arr (List.map (pair ("gso", "gso_off") json_of_gso_point) gso_points));
-        ("mesh_sweep", J.Arr (List.map json_of_mesh_point mesh_points));
-        ("fairness_sweep", json_of_fairness fairness);
-        ("engine_bench", json_of_engine_bench engine_points);
-        ("chaos", Chaos.Soak.to_json chaos_summary);
-      ]
-  in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc (J.to_string doc);
-      output_char oc '\n');
-  List.iter
-    (fun (name, base, opt) ->
-      Printf.printf "%-12s notifies/packet %8.4f -> %8.4f\n" name
-        (notifies_per_packet base.w_counters)
-        (notifies_per_packet opt.w_counters))
-    results;
-  List.iter
-    (fun m ->
-      Printf.printf "mixed q=%d    stream %8.1f Mbps  rr p99 %8.1f us\n"
-        m.mx_queues m.mx_stream_mbps m.mx_rr_p99_us)
-    queue_sweep;
-  List.iter
-    (fun (name, points) ->
-      List.iter
-        (fun (size, on, off) ->
-          Printf.printf
-            "zc %-10s %6dB  %8.1f -> %8.1f Mbps  copies/byte %5.2f -> %5.2f  \
-             fallbacks %d\n"
-            name size off.zp_mbps on.zp_mbps off.zp_copies_per_byte
-            on.zp_copies_per_byte
-            (count on.zp_counters "pool_fallbacks"))
-        points)
-    zerocopy_sweep;
-  List.iter gso_point_report gso_points;
-  List.iter mesh_point_report mesh_points;
-  fairness_report fairness;
-  ignore (engine_bench_report engine_points);
-  Printf.printf "wrote %s\n" path;
-  (* Delivery invariance: the fast path may change timing, never what the
-     application receives.  A mismatch is a data-path bug — fail loudly so
-     CI goes red instead of silently publishing wrong numbers. *)
-  let failures = ref [] in
-  let mismatch fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  List.iter
-    (fun (name, base, opt) ->
-      if base.w_delivered_app <> opt.w_delivered_app then
-        mismatch "%s: baseline delivered %d, optimized delivered %d" name
-          base.w_delivered_app opt.w_delivered_app)
-    results;
-  List.iter
-    (fun (name, points) ->
-      List.iter
-        (fun (size, on, off) ->
-          if on.zp_delivered_app <> off.zp_delivered_app then
-            mismatch "%s size=%d: zerocopy delivered %d bytes, inline delivered %d"
-              name size on.zp_delivered_app off.zp_delivered_app)
-        points)
-    zerocopy_sweep;
-  List.iter
-    (fun (size, on, off) ->
-      if on.gp_delivered <> off.gp_delivered then
-        mismatch "gso size=%d: offload on delivered %d bytes, off delivered %d"
-          size on.gp_delivered off.gp_delivered)
-    gso_points;
-  let m0 = List.hd queue_sweep in
-  List.iter
-    (fun m ->
-      if
-        m.mx_stream_bytes <> m0.mx_stream_bytes
-        || m.mx_rr_transactions <> m0.mx_rr_transactions
-      then
-        mismatch
-          "mixed: queues=%d delivered (%d bytes, %d transactions) but \
-           queues=%d delivered (%d bytes, %d transactions)"
-          m.mx_queues m.mx_stream_bytes m.mx_rr_transactions m0.mx_queues
-          m0.mx_stream_bytes m0.mx_rr_transactions)
-    queue_sweep;
-  if !failures <> [] then begin
-    prerr_endline "DELIVERY MISMATCH: application-level delivery changed across data-path settings:";
-    List.iter (fun f -> Printf.eprintf "  %s\n" f) (List.rev !failures);
-    exit 1
-  end;
-  Format.printf "%a@." Chaos.Soak.pp chaos_summary;
-  if not (Chaos.Soak.ok chaos_summary) then begin
-    prerr_endline
-      "CHAOS SOAK FAILED: invariant violation or delivery defect under fault \
-       injection:";
-    (match chaos_summary.Chaos.Soak.s_first_failure with
-    | Some f ->
-        Printf.eprintf "  first failing seed %d (%s)\n" f.Chaos.Soak.fail_seed
-          f.Chaos.Soak.fail_case;
-        List.iter (fun v -> Printf.eprintf "  %s\n" v) f.Chaos.Soak.fail_violations
-    | None -> ());
-    exit 1
-  end
+  Format.printf "%a@." Chaos.Soak.pp s;
+  Chaos.Soak.to_json s
 
 let ablation_notify () =
   (* Factor analysis of the notification fast path: suppression, batching,
@@ -2204,148 +1531,417 @@ let ablation_notify () =
   List.iter
     (fun (name, params) ->
       let r = run_json_workload ~params ~smoke:false "udp_stream" in
-      Format.fprintf fmt "%-32s %8.1f Mbps  notifies %5d  polls %6d@." name
-        (Option.value ~default:0.0 r.w_mbps)
-        (count r.w_counters "notifies_sent")
-        (count r.w_counters "poll_rounds"))
+      Format.fprintf fmt "%-32s %8.1f Mbps  notifies %5.0f  polls %6.0f@." name (num r "mbps")
+        (num r "notifies_sent") (num r "poll_rounds"))
     combos;
   Format.fprintf fmt "@."
 
-let queue_sweep_experiment () =
-  Format.fprintf fmt
-    "=== Queue sweep: concurrent UDP_STREAM + TCP_RR vs queue count ===@.";
-  Format.fprintf fmt
-    "# bulk stream and rr flow steered to distinct queues when queues > 1@.";
-  List.iter
-    (fun q ->
-      let m =
-        run_mixed
-          ~params:{ Hypervisor.Params.default with Hypervisor.Params.xenloop_queues = q }
-          ~smoke:false ()
-      in
-      Format.fprintf fmt
-        "queues=%d  stream %8.1f Mbps  rr avg %7.1f us  p99 %7.1f us  overflows %d@."
-        m.mx_queues m.mx_stream_mbps m.mx_rr_avg_us m.mx_rr_p99_us
-        (count m.mx_counters "waiting_overflows");
-      Format.fprintf fmt
-        "    notifies %d  suppressed %d  batches %d  polls %d  delivered %d@."
-        (count m.mx_counters "notifies_sent")
-        (count m.mx_counters "notifies_suppressed")
-        (count m.mx_counters "batches")
-        (count m.mx_counters "poll_rounds")
-        (count m.mx_counters "via_channel_rx");
-      Array.iteri
-        (fun i qs ->
-          Format.fprintf fmt
-            "    q%d: steered %6d  notifies %5d  suppressed %6d@." i
-            (count qs "steered_packets") (count qs "notifies_sent")
-            (count qs "notifies_suppressed"))
-        m.mx_queue_counters)
-    [ 1; 2; 4; 8 ];
-  Format.fprintf fmt "@."
-
-let zerocopy_sweep_experiment () =
-  Format.fprintf fmt
-    "=== Zero-copy: descriptor channel vs inline two-copy path ===@.";
-  Format.fprintf fmt
-    "# message-size sweep, copies/byte counts actual memcpy traffic@.";
-  List.iter
-    (fun (name, points) ->
-      Format.fprintf fmt "# workload: %s@." name;
-      List.iter
-        (fun (size, on, off) ->
-          Format.fprintf fmt
-            "%6d B  inline %8.1f Mbps (%4.2f cp/B)  zerocopy %8.1f Mbps \
-             (%4.2f cp/B)  desc %6d  fallbacks %d@."
-            size off.zp_mbps off.zp_copies_per_byte on.zp_mbps
-            on.zp_copies_per_byte (count on.zp_counters "desc_tx")
-            (count on.zp_counters "pool_fallbacks"))
-        points;
-      Format.fprintf fmt "@.")
-    (zc_sweep ~smoke:false)
-
 (* ------------------------------------------------------------------ *)
+(* Gates: bounds over the JSON document just written.
 
-let experiments =
+   A path is object keys joined by '.'; [key[k=v,...]] picks the element
+   of the array under [key] whose members print as the given values.  A
+   bound is a factor times a constant, another value of the same
+   document, or a value recorded in BENCH_results.json. *)
+
+type operand = Const of float | At of string | Recorded of string
+
+type gate = {
+  g_name : string;
+  g_path : string;
+  g_op : [ `Le | `Ge | `Eq ];
+  g_factor : float;
+  g_rhs : operand;
+  g_host : bool;  (* host-timed: evaluated only under --host-timed *)
+}
+
+let gate ?(host = false) ?(x = 1.0) g_name g_path g_op g_rhs =
+  { g_name; g_path; g_op; g_factor = x; g_rhs; g_host = host }
+
+let same name path other = gate name path `Eq (At other)
+
+let resolve doc path =
+  let picks conds e =
+    List.for_all
+      (fun c ->
+        match String.split_on_char '=' c with
+        | [ k; v ] -> (
+            match J.member k e with
+            | Some (J.Str s) -> s = v
+            | Some x -> J.to_string x = v
+            | None -> false)
+        | _ -> false)
+      conds
+  in
+  let step acc seg =
+    Result.bind acc (fun (v, seen) ->
+        let seen = if seen = "" then seg else seen ^ "." ^ seg in
+        let key, conds =
+          match String.index_opt seg '[' with
+          | None -> (seg, None)
+          | Some i ->
+              let conds = String.sub seg (i + 1) (String.length seg - i - 2) in
+              (String.sub seg 0 i, Some (String.split_on_char ',' conds))
+        in
+        match (J.member key v, conds) with
+        | None, _ -> Error (seen ^ ": no such key")
+        | Some v, None -> Ok (v, seen)
+        | Some (J.Arr l), Some conds ->
+            Option.to_result ~none:(seen ^ ": no such point")
+              (Option.map (fun e -> (e, seen)) (List.find_opt (picks conds) l))
+        | Some _, Some _ -> Error (seen ^ ": not an array"))
+  in
+  match List.fold_left step (Ok (doc, "")) (String.split_on_char '.' path) with
+  | Ok (J.Num f, _) -> Ok f
+  | Ok _ -> Error (path ^ ": not a number")
+  | Error e -> Error e
+
+(* The bound as text; [bound] is its value, once resolved. *)
+let describe ?bound g =
+  let scaled s = if g.g_factor = 1.0 then s else Printf.sprintf "%g x %s" g.g_factor s in
+  let op = match g.g_op with `Le -> "<=" | `Ge -> ">=" | `Eq -> "=" in
+  let value = match bound with Some b -> Printf.sprintf " (%.10g)" b | None -> "" in
+  match g.g_rhs with
+  | Const c -> Printf.sprintf "%s %.10g" op (g.g_factor *. c)
+  | At p -> Printf.sprintf "%s %s%s" op (scaled p) value
+  | Recorded p -> Printf.sprintf "%s %s%s" op (scaled ("recorded " ^ p)) value
+
+(* Direct major-heap words per delivered byte the simulator itself
+   allocates on the 16 KiB TCP stream (DESIGN.md §10): 0.610 (4.88 host
+   copies of each byte) with every frame written from its packet straight
+   into the channel, 0.736 (5.89) when the sender serialized each frame
+   into a buffer of its own first, 0.986 (7.89) before the one-copy
+   receive path.  The stream's frames fit one pool slot, so they ride
+   checksummed plain descriptors, whose receive still gathers before it
+   parses; its connection's 64 KiB cork and message buffer weigh on a
+   128 KiB stream.  The budget is 0.610 plus 25%.  The count is
+   deterministic, so the gate holds on any host. *)
+let host_words_budget = 0.76
+
+let zc_point name size = Printf.sprintf "zerocopy_sweep[name=%s].points[size=%d]" name size
+let gso_64k = "gso_sweep[size=65536]"
+let mesh_128 = "mesh_sweep[guests=128,delta=true]"
+
+(* Delivery invariance: the fast path may change timing, never what the
+   application receives. *)
+let workload_gates ~smoke:_ =
+  List.map
+    (fun n ->
+      let w = Printf.sprintf "workloads[name=%s]" n in
+      same "delivery" (w ^ ".optimized.delivered_app") (w ^ ".baseline.delivered_app"))
+    workload_names
+
+let mixed_gates ~smoke =
+  let at q key = Printf.sprintf "mixed_queue_sweep[queues=%d].%s" q key in
+  let q0 = List.hd (queue_counts ~smoke) in
+  List.concat_map
+    (fun q ->
+      List.map (fun k -> same "delivery" (at q k) (at q0 k)) [ "stream_bytes"; "rr_transactions" ])
+    (List.tl (queue_counts ~smoke))
+
+(* With loans negotiated (the default), a 16 KiB TCP stream must cross the
+   channel with almost no memcpy — copies/byte above 0.1 means the borrow
+   degenerated back into copy-out somewhere.  TCP deliberately: large UDP
+   datagrams fragment and the reassembly merge is an honest copy this
+   gate must not count against the loan path. *)
+let zc_gates ~smoke =
+  let p = zc_point "tcp_stream" 16384 ^ ".zerocopy" in
+  gate "loaned receive" (p ^ ".copies_per_byte") `Le (Const 0.1)
+  :: gate "simulator copies" (p ^ ".host_words_per_byte") `Le (Const host_words_budget)
+  :: List.concat_map
+       (fun (name, workload) ->
+         List.map
+           (fun size ->
+             let p = zc_point name size in
+             same "delivery" (p ^ ".zerocopy.delivered_app") (p ^ ".inline.delivered_app"))
+           (zc_sizes ~smoke workload))
+       zc_workloads
+
+(* Offload must pay: gso-on 64 KiB >= 1.2x the gso-off throughput
+   (gso-off keeps netfront TSO, so this is the hard baseline), with the
+   jumbo path engaged and the descriptor rate down at least 10x against
+   the per-MSS wire baseline — the frame population the receiver would
+   software-segment back to on netfront fallback.  And it may not change
+   delivery. *)
+let gso_gates ~smoke =
+  gate ~x:1.2 "offload pays" (gso_64k ^ ".gso.mbps") `Ge (At (gso_64k ^ ".gso_off.mbps"))
+  :: gate ~x:0.1 "descriptor collapse" (gso_64k ^ ".gso.descriptors_per_mib") `Le
+       (At (gso_64k ^ ".wire.descriptors_per_mib"))
+  :: gate "jumbo path" (gso_64k ^ ".gso.jumbo_tx") `Ge (Const 1.0)
+  :: List.map
+       (fun size ->
+         let p = Printf.sprintf "gso_sweep[size=%d]" size in
+         same "delivery" (p ^ ".gso.delivered_app") (p ^ ".gso_off.delivered_app"))
+       (gso_sizes ~smoke)
+
+(* The 128-guest delta point: steady-state announce bytes under the
+   O(churn) budget, bring-up no more than 25% below the recorded run, and
+   the per-guest cap bounding the live channel population. *)
+let mesh_gates ~smoke:_ =
   [
-    ("table1", "Table 1: motivation snapshot (3 scenarios)", table1);
-    ("table2", "Table 2: average bandwidth (4 scenarios)", table2);
-    ("table3", "Table 3: average latency (4 scenarios)", table3);
-    ("fig4", "Figure 4: UDP throughput vs message size", fig4);
-    ("fig5", "Figure 5: throughput vs FIFO size", fig5);
-    ("fig6", "Figures 6+7: netpipe-mpich sweep", fig6_7);
-    ("fig8", "Figure 8: OSU uni-directional bandwidth", fig8);
-    ("fig9", "Figure 9: OSU bi-directional bandwidth", fig9);
-    ("fig10", "Figure 10: OSU latency", fig10);
-    ("fig11", "Figure 11: transactions/sec during migration", fig11);
-    ("micro", "Microbenchmarks of core data structures", micro);
-    ("ablation-copy", "Ablation: copy vs share vs transfer", ablation_copy);
-    ("ablation-discovery", "Ablation: discovery period", ablation_discovery);
-    ( "ablation-transport",
-      "Ablation: packet-level vs transport-level interception",
-      ablation_transport );
-    ( "related-baselines",
-      "Related work: XenSockets-style pipe vs XenLoop",
-      related_baselines );
-    ( "ablation-scheduler",
-      "Ablation: credit-scheduler BOOST vs I/O wake-up latency",
-      ablation_scheduler );
-    ( "ablation-contention",
-      "Ablation: dedicated vCPUs vs credit-scheduled cores",
-      ablation_contention );
-    ( "ablation-notify",
-      "Ablation: notification suppression / batching / polling",
-      ablation_notify );
-    ( "queue-sweep",
-      "Multi-queue: mixed stream+rr vs queue count",
-      queue_sweep_experiment );
-    ( "zerocopy-sweep",
-      "Zero-copy: descriptor channel vs inline path by message size",
-      zerocopy_sweep_experiment );
+    gate "announce budget" (mesh_128 ^ ".steady_announce_bytes_per_guest") `Le
+      (Const mesh_announce_budget);
+    gate ~x:0.75 "bring-up rate" (mesh_128 ^ ".channels_per_sec") `Ge
+      (Recorded (mesh_128 ^ ".channels_per_sec"));
+    gate "channel cap" (mesh_128 ^ ".live_channels") `Le
+      (Const (float_of_int (128 * mesh_channel_cap)));
   ]
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let args = List.filter (fun a -> a <> "--") args in
-  match args with
-  | [ "--json" ] -> json_mode ~smoke:false "BENCH_results.json"
-  | [ "--json"; path ] -> json_mode ~smoke:false path
-  | [ "--json-smoke"; path ] -> json_mode ~smoke:true path
-  | [ "--list" ] ->
-      List.iter (fun (name, doc, _) -> Printf.printf "%-20s %s\n" name doc) experiments
-  | [ "--only"; names ] ->
-      let wanted = String.split_on_char ',' names in
+(* QoS-on incast must hold Jain >= 0.95, and the elephant-vs-mice victim
+   p99 must be >= 5x better than the unisolated baseline. *)
+let fairness_gates ~smoke:_ =
+  [
+    gate "incast fairness" "fairness_sweep.incast.qos_on.jain" `Ge (Const 0.95);
+    gate "victim isolation" "fairness_sweep.victim_p99_improvement" `Ge (Const 5.0);
+  ]
+
+(* Host-timed: the headline scenario's rate may not fall more than 25%
+   below the recorded one. *)
+let engine_gates ~smoke:_ =
+  [
+    gate ~host:true ~x:0.75 "engine speed" "engine_bench.sim_events_per_sec" `Ge
+      (Recorded "engine_bench.sim_events_per_sec");
+  ]
+
+(* No invariant violation, loss or duplicate under fault injection. *)
+let chaos_gates ~smoke:_ =
+  List.map
+    (fun k -> gate "chaos soak" ("chaos." ^ k) `Le (Const 0.0))
+    [ "violation_runs"; "datagrams_lost"; "datagrams_duplicated" ]
+
+(* ------------------------------------------------------------------ *)
+(* The registry: every section is one record.  A section's text report
+   is what it prints as it measures; a JSON section also returns its
+   object, which goes into the document under its name.  A smoke run of
+   a section may execute at most twice [smoke_events], the events it
+   executed when that figure was written down: a section that starts
+   simulating what nobody reads fails the run. *)
+
+type body = Text of (unit -> unit) | Json of (smoke:bool -> J.t)
+
+type section = {
+  name : string;
+  doc : string;
+  body : body;
+  gates : smoke:bool -> gate list;
+  smoke_events : int;
+}
+
+let paper name doc smoke_events f =
+  { name; doc; body = Text f; gates = (fun ~smoke:_ -> []); smoke_events }
+
+let data name doc smoke_events gates f = { name; doc; body = Json f; gates; smoke_events }
+
+let sections =
+  [
+    (* The three tables share one lazily measured snapshot per scenario:
+       whichever runs first pays for it. *)
+    paper "table1" "Table 1: motivation snapshot (3 scenarios)" 1418065 table1;
+    paper "table2" "Table 2: average bandwidth (4 scenarios)" 1418065 table2;
+    paper "table3" "Table 3: average latency (4 scenarios)" 1418065 table3;
+    paper "fig4" "Figure 4: UDP throughput vs message size" 796746 fig4;
+    paper "fig5" "Figure 5: throughput vs FIFO size" 137231 fig5;
+    paper "fig6" "Figures 6+7: netpipe-mpich sweep" 223573 fig6_7;
+    paper "fig8" "Figure 8: OSU uni-directional bandwidth" 522740 fig8;
+    paper "fig9" "Figure 9: OSU bi-directional bandwidth" 1135708 fig9;
+    paper "fig10" "Figure 10: OSU latency" 249869 fig10;
+    paper "fig11" "Figure 11: transactions/sec during migration" 55391989 fig11;
+    paper "micro" "Microbenchmarks of core data structures" 0 micro;
+    paper "ablation-copy" "Ablation: copy vs share vs transfer" 56174 ablation_copy;
+    paper "ablation-discovery" "Ablation: discovery period" 13316 ablation_discovery;
+    paper "ablation-transport" "Ablation: packet-level vs transport-level interception" 127425
+      ablation_transport;
+    paper "related-baselines" "Related work: XenSockets-style pipe vs XenLoop" 128267
+      related_baselines;
+    paper "ablation-scheduler" "Ablation: credit-scheduler BOOST vs I/O wake-up latency" 914
+      ablation_scheduler;
+    paper "ablation-contention" "Ablation: dedicated vCPUs vs credit-scheduled cores" 383462
+      ablation_contention;
+    paper "ablation-notify" "Ablation: notification suppression / batching / polling" 122734
+      ablation_notify;
+    data "workloads" "Notification fast path: baseline vs optimized" 38900 workload_gates
+      (fun ~smoke -> J.Arr (workloads ~smoke));
+    data "mixed_queue_sweep" "Multi-queue: mixed stream+rr vs queue count" 46215 mixed_gates
+      (fun ~smoke -> J.Arr (mixed_sweep ~smoke));
+    data "fifo_sweep_udp_stream" "UDP throughput vs FIFO size, optimized path" 8594
+      (fun ~smoke:_ -> [])
+      (fun ~smoke -> J.Arr (fifo_sweep ~smoke));
+    data "zerocopy_sweep" "Zero-copy: descriptor channel vs inline path by message size" 103244
+      zc_gates (fun ~smoke -> J.Arr (zc_sweep ~smoke));
+    data "gso_sweep" "Segmentation offload: jumbo descriptors on vs off" 62546 gso_gates
+      (fun ~smoke -> J.Arr (gso_sweep ~smoke));
+    data "mesh_sweep" "Control plane: mesh bring-up and announce cost vs guests" 440353
+      mesh_gates (fun ~smoke -> J.Arr (mesh_sweep ~smoke));
+    data "fairness_sweep" "QoS fairness: incast and elephant-vs-mice, qos off vs on" 1922679
+      fairness_gates run_fairness_sweep;
+    data "engine_bench" "Engine microbenchmark: simulated events per host second" 4086465
+      engine_gates engine_bench;
+    data "chaos" "Chaos soak: fault matrix, exactly-once delivery and invariants" 63525
+      chaos_gates chaos;
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The runner: run the sections, write the JSON, read it back, and hold
+   every gate to the document read back. *)
+
+type options = {
+  smoke : bool;
+  out : string option;  (* where the JSON goes; None keeps it in memory *)
+  recorded : string;  (* the recorded results the baselines come from *)
+  host_timed : bool;
+}
+
+let parse_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> J.of_string text
+
+let section_gates o s =
+  let budget =
+    gate "events budget" ("harness." ^ s.name ^ ".events") `Le
+      (Const (float_of_int (2 * s.smoke_events)))
+  in
+  List.filter
+    (fun g -> o.host_timed || not g.g_host)
+    (s.gates ~smoke:o.smoke @ if o.smoke then [ budget ] else [])
+
+(* The recorded document, read (and every path the gates read there
+   resolved) before anything is measured. *)
+let read_recorded o gates =
+  let recorded g = match g.g_rhs with Recorded p -> Some p | _ -> None in
+  let paths = List.filter_map recorded gates in
+  let fail errors =
+    List.iter (Printf.eprintf "%s: %s\n" o.recorded) errors;
+    exit 1
+  in
+  if paths = [] then J.Null
+  else
+    match parse_file o.recorded with
+    | Error e -> fail [ e ]
+    | Ok doc -> (
+        let missing p = match resolve doc p with Ok _ -> None | Error e -> Some e in
+        match List.filter_map missing paths with [] -> doc | errors -> fail errors)
+
+(* Run one section; its ledger entry and its JSON member, if any. *)
+let measure ~smoke s =
+  let gc0 = Gc.quick_stat () and t0 = Unix.gettimeofday () in
+  let ev0 = Sim.Engine.process_events () and sim0 = Sim.Engine.process_sim_time () in
+  let json = match s.body with Text f -> f (); None | Json f -> Some (s.name, f ~smoke) in
+  let wall = Unix.gettimeofday () -. t0 and gc1 = Gc.quick_stat () in
+  let sim = Sim.Time.span_sub (Sim.Engine.process_sim_time ()) sim0 in
+  let ledger =
+    J.Obj
+      [
+        ("wall_s", J.fixed 3 wall);
+        ("minor_words", J.fixed 0 (gc1.Gc.minor_words -. gc0.Gc.minor_words));
+        ("major_words", J.fixed 0 (gc1.Gc.major_words -. gc0.Gc.major_words));
+        ("sim_s", J.fixed 6 (Sim.Time.to_sec_f sim));
+        ("events", J.int (Sim.Engine.process_events () - ev0));
+      ]
+  in
+  ((s.name, ledger), json)
+
+let run_sections o selected =
+  let gates = List.concat_map (section_gates o) selected in
+  let recorded = read_recorded o gates in
+  let ledger, members = List.split (List.map (measure ~smoke:o.smoke) selected) in
+  let text =
+    J.to_string
+      (J.Obj
+         ([ ("smoke", J.Bool o.smoke); ("scenario", J.Str "xenloop_path") ]
+         @ List.filter_map Fun.id members
+         @ [ ("harness", J.Obj ledger) ]))
+    ^ "\n"
+  in
+  let doc =
+    match o.out with
+    | None -> J.of_string text
+    | Some path ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        Printf.printf "wrote %s\n" path;
+        parse_file path
+  in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  (match doc with
+  | Error e -> fail "%s: %s" (Option.value o.out ~default:"JSON") e
+  | Ok doc ->
       List.iter
-        (fun name ->
-          match List.find_opt (fun (n, _, _) -> n = name) experiments with
-          | Some (_, _, f) -> f ()
-          | None ->
-              Printf.eprintf "unknown experiment %s (try --list)\n" name;
-              exit 1)
-        wanted
-  | [ "--engine-bench" ] -> ignore (engine_bench_report (engine_bench_run ~smoke:false ()))
-  | [ "--engine-bench-smoke" ] ->
-      ignore (engine_bench_report (engine_bench_run ~smoke:true ()))
-  | [ "--engine-bench-check"; path ] -> engine_bench_check path
-  | [ "--datapath-check" ] -> datapath_check ()
-  | [ "--gso-check" ] -> gso_check ()
-  | [ "--gso-sweep" ] -> List.iter gso_point_report (gso_sweep ~smoke:false)
-  | [ "--mesh-check"; path ] -> mesh_check path
-  | [ "--fairness-check" ] -> fairness_check ()
-  | [ "--fairness-sweep" ] -> fairness_report (run_fairness_sweep ~smoke:false)
-  | [ "--mesh-point"; g; h; d ] ->
-      mesh_point_report
-        (run_mesh_point ~guests:(int_of_string g) ~hosts:(int_of_string h)
-           ~delta:(bool_of_string d) ())
-  | [] ->
-      Format.fprintf fmt
-        "XenLoop reproduction benchmark suite (simulated Xen substrate)@.@.";
-      List.iter (fun (_, _, f) -> f ()) experiments
-  | _ ->
-      prerr_endline
-        "usage: main.exe [--list | --only name1,name2,... | --json [path] | \
-         --json-smoke path | --engine-bench | --engine-bench-smoke | \
-         --engine-bench-check path | --datapath-check | --gso-check | \
-         --gso-sweep | --mesh-check path | --fairness-check | \
-         --fairness-sweep]";
-      exit 1
+        (fun s ->
+          match (s.body, J.member s.name doc) with
+          | Json _, (None | Some (J.Null | J.Arr [] | J.Obj [] | J.Str "")) ->
+              fail "section %s: missing or empty" s.name
+          | _ -> ())
+        selected;
+      List.iter
+        (fun g ->
+          let rhs =
+            match g.g_rhs with
+            | Const c -> Ok c
+            | At p -> resolve doc p
+            | Recorded p -> resolve recorded p
+          in
+          match (resolve doc g.g_path, rhs) with
+          | Error e, _ | _, Error e -> fail "gate %s: %s" g.g_name e
+          | Ok v, Ok b ->
+              let b = g.g_factor *. b in
+              let ok = match g.g_op with `Le -> v <= b | `Ge -> v >= b | `Eq -> v = b in
+              let line =
+                Printf.sprintf "%s: %s = %.10g, bound %s" g.g_name g.g_path v
+                  (describe ~bound:b g)
+              in
+              if ok then Printf.printf "gate ok  %s\n" line else fail "gate %s" line)
+        gates);
+  Printf.printf "%d gate(s) checked\n%!" (List.length gates);
+  if !failures <> [] then begin
+    List.iter (Printf.eprintf "FAILED %s\n") (List.rev !failures);
+    exit 1
+  end
+
+let usage () =
+  prerr_endline
+    "usage: main.exe [--list | --only s1,s2,... | --json [path] | --json-smoke path] \
+     [--recorded path] [--host-timed]";
+  exit 1
+
+let () =
+  let o = ref { smoke = false; out = None; recorded = "BENCH_results.json"; host_timed = false } in
+  let only = ref None and list = ref false in
+  let rec parse = function
+    | [] -> ()
+    | "--list" :: rest -> list := true; parse rest
+    | "--only" :: names :: rest -> only := Some (String.split_on_char ',' names); parse rest
+    | "--json-smoke" :: path :: rest -> o := { !o with smoke = true; out = Some path }; parse rest
+    | "--json" :: path :: rest when not (String.starts_with ~prefix:"--" path) ->
+        o := { !o with out = Some path }; parse rest
+    | "--json" :: rest -> o := { !o with out = Some "BENCH_results.json" }; parse rest
+    | "--recorded" :: path :: rest -> o := { !o with recorded = path }; parse rest
+    | "--host-timed" :: rest -> o := { !o with host_timed = true }; parse rest
+    | _ -> usage ()
+  in
+  parse (List.filter (( <> ) "--") (List.tl (Array.to_list Sys.argv)));
+  let o = !o in
+  if !list then
+    List.iter
+      (fun s ->
+        Printf.printf "%-22s %s (smoke events %d)\n" s.name s.doc s.smoke_events;
+        List.iter
+          (fun g -> Printf.printf "%22s gate %s: %s %s\n" "" g.g_name g.g_path (describe g))
+          (s.gates ~smoke:true))
+      sections
+  else
+    let find n =
+      match List.find_opt (fun s -> s.name = n) sections with
+      | Some s -> s
+      | None ->
+          Printf.eprintf "unknown section %s (try --list)\n" n;
+          exit 1
+    in
+    run_sections o
+      (match !only with
+      | Some names -> List.map find names
+      | None when o.out <> None ->
+          List.filter (fun s -> match s.body with Json _ -> true | Text _ -> false) sections
+      | None ->
+          Format.printf "XenLoop reproduction benchmark suite (simulated Xen substrate)@.@.";
+          sections)

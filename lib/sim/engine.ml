@@ -206,20 +206,41 @@ let exec t c =
       else free_cell t c
   | P_none -> invalid_arg "Engine.step: empty event cell"
 
+(* Process-wide totals over every engine, for the bench harness's
+   per-section ledger.  They are credited when a [run] or [step] returns,
+   so the event loop itself carries no extra work. *)
+let all_events = ref 0
+let all_sim_ns = ref 0
+
+let credit t ~events ~clock_ns =
+  all_events := !all_events + (t.events_run - events);
+  all_sim_ns := !all_sim_ns + (t.clock_ns - clock_ns)
+
 let step t =
+  let events = t.events_run and clock_ns = t.clock_ns in
   let c = W.pop t.queue in
   if c == W.nil t.queue then false
   else begin
     exec t c;
+    credit t ~events ~clock_ns;
     true
   end
 
-let run ?until t =
-  match until with
-  | None -> while step t do () done
+let run ?until ?stop t =
+  let events = t.events_run and clock_ns = t.clock_ns in
+  let nil = W.nil t.queue in
+  (match until with
+  | None ->
+      let rec loop () =
+        let c = W.pop t.queue in
+        if c != nil then begin
+          exec t c;
+          loop ()
+        end
+      in
+      loop ()
   | Some limit ->
       let limit_ns = Int64.to_int (Time.instant_to_ns limit) in
-      let nil = W.nil t.queue in
       let continue_ = ref true in
       while !continue_ do
         let c = W.pop_before t.queue limit_ns in
@@ -227,8 +248,14 @@ let run ?until t =
           t.clock_ns <- limit_ns;
           continue_ := false
         end
-        else exec t c
-      done
+        else begin
+          exec t c;
+          match stop with Some f when f () -> continue_ := false | _ -> ()
+        end
+      done);
+  credit t ~events ~clock_ns
 
 let pending_events t = W.length t.queue
 let events_executed t = t.events_run
+let process_events () = !all_events
+let process_sim_time () = Time.ns !all_sim_ns

@@ -60,10 +60,12 @@ val suspend : register:((unit -> unit) -> unit) -> unit
 
 (** {1 Running} *)
 
-val run : ?until:Time.t -> t -> unit
+val run : ?until:Time.t -> ?stop:(unit -> bool) -> t -> unit
 (** Process events in time order until the queue is empty or the clock
     would pass [until].  When [until] is given the clock is left at [until]
-    even if the queue drained earlier, so repeated bounded runs compose. *)
+    even if the queue drained earlier, so repeated bounded runs compose.
+    [stop], checked after each event of a bounded run, ends it early with
+    the clock at that event's instant. *)
 
 val step : t -> bool
 (** Process a single event.  Returns [false] if the queue was empty. *)
@@ -73,3 +75,10 @@ val pending_events : t -> int
 val events_executed : t -> int
 (** Total events this engine has run since creation — the numerator of the
     [sim_events_per_sec] benchmark metric. *)
+
+val process_events : unit -> int
+(** Events run by every engine of this process so far. *)
+
+val process_sim_time : unit -> Time.span
+(** Simulated time every engine of this process has advanced through so
+    far, summed over the engines. *)

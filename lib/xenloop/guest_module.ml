@@ -2777,12 +2777,13 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
                     match Payload_pool.alloc_slot pool with
                     | -1 -> false
                     | slot ->
-                        let buf = Bytes.create total in
-                        Bytes.set_int32_be buf 0
+                        let hdr = Bytes.make 8 '\000' in
+                        Bytes.set_int32_be hdr 0
                           (Netcore.Ip.to_int32 (Stack.ip_addr t.stack));
-                        Bytes.set_uint16_be buf 4 src_port;
-                        Bytes.blit payload 0 buf 8 (Bytes.length payload);
-                        Payload_pool.write pool ~slot ~src:buf ~len:total;
+                        Bytes.set_uint16_be hdr 4 src_port;
+                        Payload_pool.write_at pool ~slot ~off:0 ~src:hdr ~src_off:0 ~len:8;
+                        Payload_pool.write_at pool ~slot ~off:8 ~src:payload ~src_off:0
+                          ~len:(Bytes.length payload);
                         if
                           Fifo.try_push_desc q.out_fifo ~flags:Fifo.flag_app
                             ~slot ~offset:0 ~len:total ~proto_hint:dst_port ()

@@ -88,8 +88,6 @@ let write_at t ~slot ~off ~src ~src_off ~len =
     left := !left - chunk
   done
 
-let write t ~slot ~src ~len = write_at t ~slot ~off:0 ~src ~src_off:0 ~len
-
 (* Frame offset [dst_off] lives in slot [p_scatter.(dst_off / slot_bytes)]
    at [dst_off mod slot_bytes]: a write is split at slot boundaries. *)
 let scatter_write t src ~src_off ~dst_off ~len =

@@ -116,13 +116,10 @@ val force_return_loans : t -> int
     (the pool pages are about to be unmapped) and mark the view dead so
     late releases no-op.  Returns how many loans were force-returned. *)
 
-val write : t -> slot:int -> src:Bytes.t -> len:int -> unit
-(** The sender's single payload copy, into the slot's pages. *)
-
 val write_at :
   t -> slot:int -> off:int -> src:Bytes.t -> src_off:int -> len:int -> unit
-(** {!write} of [len] bytes of [src] from [src_off], at offset [off] of
-    the slot. *)
+(** The sender's single payload copy: [len] bytes of [src] from
+    [src_off], into the slot's pages at offset [off] of the slot. *)
 
 val scatter : t -> int array
 (** The sender's scatter vector, one entry per pool slot: fill its first

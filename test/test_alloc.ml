@@ -99,7 +99,7 @@ let test_busy_poll_receive_zero_alloc () =
   let scratch = Bytes.create (Fifo.max_packet rx) in
   let cycle () =
     let slot = Pool.alloc_slot pool in
-    Pool.write pool ~slot ~src:payload ~len;
+    Pool.write_at pool ~slot ~off:0 ~src:payload ~src_off:0 ~len;
     ignore (Fifo.try_push_desc tx ~slot ~offset:0 ~len ~proto_hint:17 ());
     let code = Fifo.pop_into rx scratch in
     if code <> Fifo.popped_desc then Alcotest.fail "expected a descriptor";

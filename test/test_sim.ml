@@ -294,7 +294,25 @@ let test_engine_run_until () =
     (Sim.Time.instant_to_ns (Sim.Engine.now e));
   (* Bounded runs compose: continue to 4ms. *)
   Sim.Engine.run ~until:(Sim.Time.add Sim.Time.zero (Sim.Time.ms 4)) e;
-  Alcotest.(check int) "second fired" 2 !fired
+  Alcotest.(check int) "second fired" 2 !fired;
+  (* [stop] ends a bounded run right after the event that satisfies it,
+     with the clock at that event and the rest still queued; the
+     process-wide totals count what ran. *)
+  let events0 = Sim.Engine.process_events () in
+  let sim0 = Sim.Engine.process_sim_time () in
+  Sim.Engine.after e (Sim.Time.ms 1) (fun () -> incr fired);
+  Sim.Engine.after e (Sim.Time.ms 2) (fun () -> incr fired);
+  Sim.Engine.run
+    ~until:(Sim.Time.add Sim.Time.zero (Sim.Time.ms 100))
+    ~stop:(fun () -> !fired = 3)
+    e;
+  Alcotest.(check int) "stopped after the third" 3 !fired;
+  Alcotest.(check int64) "clock at the stopping event" 5_000_000L
+    (Sim.Time.instant_to_ns (Sim.Engine.now e));
+  Alcotest.(check int) "rest still queued" 1 (Sim.Engine.pending_events e);
+  Alcotest.(check int) "process events" 1 (Sim.Engine.process_events () - events0);
+  Alcotest.(check int64) "process simulated time" 1_000_000L
+    (Sim.Time.to_ns (Sim.Time.span_sub (Sim.Engine.process_sim_time ()) sim0))
 
 let test_engine_at_past_rejected () =
   let e = Sim.Engine.create () in

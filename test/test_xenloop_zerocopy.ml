@@ -80,7 +80,7 @@ let test_pool_write_read_spans_pages () =
   Alcotest.(check int) "slot bytes" (2 * Page.size) (Pool.slot_bytes p);
   let len = Page.size + 100 in
   let payload = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
-  Pool.write p ~slot:1 ~src:payload ~len;
+  Pool.write_at p ~slot:1 ~off:0 ~src:payload ~src_off:0 ~len;
   Alcotest.(check bytes) "roundtrip across the page boundary" payload
     (Pool.read p ~slot:1 ~off:0 ~len);
   Alcotest.(check bytes) "offset read" (Bytes.sub payload 3996 200)
@@ -103,7 +103,7 @@ let test_pool_shared_views () =
   let s = Option.get (Pool.alloc p) in
   Alcotest.(check int) "peer sees the alloc" 3 (Pool.free_slots peer);
   let payload = Bytes.make 700 'z' in
-  Pool.write p ~slot:s ~src:payload ~len:700;
+  Pool.write_at p ~slot:s ~off:0 ~src:payload ~src_off:0 ~len:700;
   Alcotest.(check bytes) "payload visible in place" payload
     (Pool.read peer ~slot:s ~off:0 ~len:700);
   Pool.free peer s;
